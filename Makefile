@@ -4,7 +4,7 @@ PYTHON ?= python
 TRIALS ?= 1024
 JOBS ?=
 
-.PHONY: install test bench bench-runner bench-cache bench-fabric bench-service bench-service-pool cache-smoke kernel-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
+.PHONY: install test bench bench-smoke bench-runner bench-cache bench-fabric bench-service bench-service-pool cache-smoke kernel-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -14,6 +14,12 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark's workloads at tiny sizes: every correctness
+# gate (golden digests, paired-ref identity, sweep-unit recompute,
+# service reference answers), no numbers kept.
+bench-smoke:
+	python3 -m bench --smoke
 
 bench-runner:
 	PYTHONPATH=src $(PYTHON) scripts/bench_runner.py

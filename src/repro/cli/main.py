@@ -34,7 +34,7 @@ from ..experiments.report import (
     save_csv,
     save_json,
 )
-from ..experiments.runner import run_experiment
+from ..experiments.runner import iter_experiments
 
 __all__ = [
     "main",
@@ -404,6 +404,7 @@ def figures_main(argv: list[str] | None = None) -> int:
             return 2
 
     status = 0
+    specs, labels = [], []
     for name in names:
         try:
             if isinstance(name, Path):
@@ -413,31 +414,50 @@ def figures_main(argv: list[str] | None = None) -> int:
                 name = spec.name
             else:
                 spec = get_figure_spec(name)
-            result = run_experiment(
-                spec,
-                trials=args.trials,
-                seed=args.seed,
-                jobs=args.jobs,
-                chunk_size=args.chunk_size,
-                engine=args.engine,
-                cache=store,
-            )
         except ReproError as exc:
             print(f"error running {name!r}: {exc}", file=sys.stderr)
             status = 1
             continue
-        print(render_report(result))
-        if result.cache_stats is not None:
-            print(_cache_summary(result.cache_stats))
-        print()
-        if args.out is not None:
-            save_json(result, args.out / f"{name}.json")
-            save_csv(result, args.out / f"{name}.csv")
-            (args.out / f"{name}.md").write_text(
-                f"### {result.title}\n\n{result_markdown(result)}\n"
-            )
-    if store is not None:
-        store.close()
+        specs.append(spec)
+        labels.append(name)
+
+    # One plan for every experiment: shared workloads are generated and
+    # shared cells judged once, and each result arrives (in the order
+    # named) as soon as its last unit is merged.
+    reported = 0
+    try:
+        for result in iter_experiments(
+            specs,
+            trials=args.trials,
+            seed=args.seed,
+            jobs=args.jobs,
+            chunk_size=args.chunk_size,
+            engine=args.engine,
+            cache=store,
+        ):
+            name = labels[reported]
+            reported += 1
+            if isinstance(result, ReproError):
+                print(f"error running {name!r}: {result}", file=sys.stderr)
+                status = 1
+                continue
+            print(render_report(result))
+            if result.cache_stats is not None:
+                print(_cache_summary(result.cache_stats))
+            print()
+            if args.out is not None:
+                save_json(result, args.out / f"{name}.json")
+                save_csv(result, args.out / f"{name}.csv")
+                (args.out / f"{name}.md").write_text(
+                    f"### {result.title}\n\n{result_markdown(result)}\n"
+                )
+    except ReproError as exc:  # options no experiment can run with
+        for name in labels[reported:]:
+            print(f"error running {name!r}: {exc}", file=sys.stderr)
+        status = 1
+    finally:
+        if store is not None:
+            store.close()
 
     if args.report:
         if args.out is None:

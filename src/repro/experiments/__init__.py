@@ -19,8 +19,10 @@ from .runner import (
     CellResult,
     ExperimentResult,
     cell_chunk_key,
+    iter_experiments,
     run_cell,
     run_experiment,
+    run_experiments,
     run_paired_cells,
     run_trial,
 )
@@ -35,6 +37,8 @@ __all__ = [
     "run_cell",
     "run_paired_cells",
     "run_experiment",
+    "run_experiments",
+    "iter_experiments",
     "cell_chunk_key",
     "ENGINE_NAMES",
     "TrialContext",

@@ -6,9 +6,11 @@ series sees the same workload.  Everything derivable from the workload
 alone — topological order, successor adjacency, the transitive closure,
 each estimator's WCET map, the strict-locality clustering — is therefore
 identical across series and is computed lazily, exactly once, on a
-:class:`TrialContext`.  Series then differ only in the metric's sharing
-rule, the scheduler policy, and the communication model, which is where
-the 2–4× amortization win of the paired engine comes from.
+:class:`TrialContext`.  So is each deadline assignment: series that
+differ only in the scheduler policy, the communication model or the
+lateness mode share one slicing run (:meth:`TrialContext.assignment`),
+which together is where the 2–4× amortization win of the paired engine
+comes from.
 
 Laziness matters for bit-identical equivalence with the per-cell engine:
 a PURE-only series never builds a transitive closure, so the context
@@ -17,7 +19,7 @@ must not build one either unless some series asks for it.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from ..core.estimation import WcetEstimator, estimate_map, get_estimator
 from ..errors import DistributionError
@@ -28,6 +30,9 @@ from ..rng import make_rng
 from ..types import Time
 from ..workload.generator import Workload, generate_workload
 from ..workload.params import WorkloadParams
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
+    from .spec import TrialConfig
 
 __all__ = ["TrialContext"]
 
@@ -50,6 +55,7 @@ class TrialContext:
         "_estimates",
         "_strict",
         "_compiled",
+        "_assignments",
     )
 
     def __init__(self, workload: Workload) -> None:
@@ -62,6 +68,7 @@ class TrialContext:
         self._estimates: dict[str, Mapping[str, Time]] = {}
         self._strict: tuple[object, Mapping[str, Time]] | None = None
         self._compiled = None
+        self._assignments: dict[tuple, Any] = {}
 
     @classmethod
     def from_seed(cls, params: "WorkloadParams", seed: int) -> "TrialContext":
@@ -200,3 +207,29 @@ class TrialContext:
                 exact_estimates(self.graph, self.platform, fixed),
             )
         return self._strict
+
+    def assignment(
+        self, config: "TrialConfig", tier: str, compute: Callable[[], Any]
+    ) -> Any:
+        """*config*'s deadline assignment on this workload, computed once.
+
+        Keyed by what slicing depends on — metric, adaptive parameters,
+        estimator and locality — plus the *tier* that computed it
+        (``"reference"``, ``"reference+kernel"``, ``"kernel"``,
+        ``"vec"``, ``"vec-batch"``), so configs that differ only in
+        scheduler, bus model or lateness mode share one slicing run,
+        while no tier ever reuses another's result (the reference oracle
+        computes its own).  *compute* builds the value on a miss;
+        callers only read what it returns.
+        """
+        key = (
+            tier,
+            config.metric,
+            config.adaptive,
+            config.estimator,
+            config.locality,
+        )
+        found = self._assignments.get(key)
+        if found is None:
+            found = self._assignments[key] = compute()
+        return found

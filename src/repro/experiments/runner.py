@@ -8,22 +8,21 @@ inter-process traffic stays tiny (per the hpc-parallel guidance:
 parallelize coarse-grained units, keep the serial inner loop simple and
 measured).
 
-Two engines share the same trial primitive:
+One planner, :func:`iter_experiments`, runs every experiment: it shards
+all specs of a run into ``(workload, x_index, seed chunk)`` units,
+judges each distinct ``(config, seed chunk)`` once across experiments,
+and scatters the partials back to every cell that asked for them.  In a
+unit each seed's workload is generated once, its derived state
+(topological order, adjacency, transitive closure, per-estimator WCET
+maps, deadline assignments) is computed once on a
+:class:`~repro.experiments.context.TrialContext`, and every config is
+judged on that same workload — the paper's paired design (one fixed set
+of 1024 task graphs judged by every metric).  ``engine="percell"``
+instead gives every distinct cell chunk its own unit, regenerating the
+workload per series; it is kept for equivalence testing, and produces
+bit-identical cells because trial seeds never depend on the series.
 
-* ``"paired"`` (default) — a work unit is ``(x_index, seed_chunk)``
-  covering *every* series of the sweep point.  Each seed's workload is
-  generated once, its derived state (topological order, adjacency,
-  transitive closure, per-estimator WCET maps) is computed once on a
-  :class:`~repro.experiments.context.TrialContext`, and every series is
-  judged on that same workload — the paper's paired design (one fixed
-  set of 1024 task graphs judged by every metric), and a 2–4× wall-clock
-  win on multi-series sweeps.
-* ``"percell"`` — the historical engine: one work unit per
-  ``(x_index, series)`` cell, regenerating the workload per series.
-  Kept for equivalence testing and benchmarking; both engines produce
-  bit-identical cells because trial seeds never depend on the series.
-
-Both engines can consult a persistent content-addressed result store
+The planner can consult a persistent content-addressed result store
 (``run_experiment(cache=...)``, see :mod:`repro.store`): each
 ``(cell, seed-chunk)`` partial is keyed by a digest of the trial config
 and its seed block, so warm re-runs skip completed chunks entirely, an
@@ -40,9 +39,10 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..analysis.stats import BinomialEstimate
 from ..core.metrics import get_metric
@@ -58,13 +58,7 @@ from ..kernel.trial import (
     run_trial_kernel,
     run_trial_vec,
 )
-from ..kernel.vec import (
-    VEC_MIN_LANES,
-    batch_supported,
-    vec_available,
-    vec_enabled,
-    vec_mode,
-)
+from ..kernel.vec import batch_engages, vec_available, vec_mode
 from .context import TrialContext
 from .spec import ExperimentSpec, TrialConfig, TrialOutcome
 
@@ -73,13 +67,15 @@ __all__ = [
     "run_cell",
     "run_paired_cells",
     "run_experiment",
+    "run_experiments",
+    "iter_experiments",
     "cell_chunk_key",
     "CellResult",
     "ExperimentResult",
     "ENGINE_NAMES",
 ]
 
-#: Execution engines accepted by :func:`run_experiment`.
+#: Execution engines accepted by :func:`run_experiments`.
 #: ``"paired-ref"`` is the paired engine pinned to the string-keyed
 #: reference trial pipeline (the kernel's oracle); ``"paired"`` and
 #: ``"percell"`` use the compiled kernel whenever it is enabled and the
@@ -133,26 +129,32 @@ def run_trial(
         fixed, estimates = context.strict_assignment()
     else:
         estimates = context.estimates_for(config.estimator)
-    metric = get_metric(config.metric, config.adaptive)
 
-    # ``use_k`` pins the slicing/scheduling sub-dispatch too: with the
-    # kernel off (the ``paired-ref`` oracle leg, ``use_kernel=False``)
-    # every layer must run the string-keyed reference code, so neither
-    # helper may fall back to its own environment check.
-    assignment = distribute_deadlines(
-        graph,
-        platform,
-        metric,
-        estimator=config.estimator,
-        estimates=estimates,
-        validate=False,  # generator output is valid by construction
-        closure=context.closure if metric.uses_closure else None,
-        topo_order=context.topo_order,
-        successors=context.successors,
-        predecessors=context.predecessors,
-        initial_pins=context.initial_pins,
-        compiled=context.compiled if use_k else None,
-        kernel=use_k,
+    def distribute():
+        metric = get_metric(config.metric, config.adaptive)
+        # ``use_k`` pins the slicing/scheduling sub-dispatch too: with
+        # the kernel off (the ``paired-ref`` oracle leg,
+        # ``use_kernel=False``) every layer must run the string-keyed
+        # reference code, so neither helper may fall back to its own
+        # environment check.
+        return distribute_deadlines(
+            graph,
+            platform,
+            metric,
+            estimator=config.estimator,
+            estimates=estimates,
+            validate=False,  # generator output is valid by construction
+            closure=context.closure if metric.uses_closure else None,
+            topo_order=context.topo_order,
+            successors=context.successors,
+            predecessors=context.predecessors,
+            initial_pins=context.initial_pins,
+            compiled=context.compiled if use_k else None,
+            kernel=use_k,
+        )
+
+    assignment = context.assignment(
+        config, "reference+kernel" if use_k else "reference", distribute
     )
 
     comm = (
@@ -351,14 +353,15 @@ def run_cell(
 
 
 def run_paired_cells(
-    cells: Sequence[tuple[int, TrialConfig]],
+    cells: Sequence[tuple[Any, TrialConfig]],
     seeds: Sequence[int],
     use_kernel: bool | None = None,
     use_vec: bool | None = None,
-) -> list[tuple[int, CellResult]]:
+) -> list[tuple[Any, CellResult]]:
     """Run a block of paired trials covering every series of one sweep point.
 
-    *cells* lists ``(series_index, config)`` for one ``x_index``; for
+    *cells* lists ``(cell_id, config)`` for one ``x_index`` — series
+    indices, or the planner's :func:`cell_chunk_key` addresses; for
     each seed the workload is generated **once** per distinct
     :class:`~repro.workload.params.WorkloadParams` (normally exactly
     once — series vary the metric/estimator/bus model, not the
@@ -366,28 +369,15 @@ def run_paired_cells(
     :class:`TrialContext`.  Returns one partial :class:`CellResult` per
     series, aggregated over this seed block.
 
-    With the vectorized tier active (NumPy present; engaged
-    automatically for batches of at least
-    :data:`~repro.kernel.vec.VEC_MIN_LANES` seeds, or at any width ≥ 2
-    when pinned via ``use_vec=True``/``REPRO_VEC=1``) and a single
-    shared workload family, the whole block runs through the seed-batch
-    driver: one weight-stage array pass and one lockstep EDF pass cover
-    every seed lane of each series, and the per-series accumulators are
-    fed the identical outcomes in the identical seed order — the
-    aggregates match the sequential loop bit for bit.
+    When the vectorized tier engages for the block
+    (:func:`~repro.kernel.vec.batch_engages`), the whole block runs
+    through the seed-batch driver: one weight-stage array pass and one
+    lockstep EDF pass cover every seed lane of each series, and the
+    per-series accumulators are fed the identical outcomes in the
+    identical seed order — the aggregates match the sequential loop bit
+    for bit.
     """
-    pinned = use_vec is True or vec_mode() == "on"
-    use_v = use_vec if use_vec is not None else vec_enabled()
-    if use_kernel is False:
-        use_v = False
-    min_lanes = 2 if pinned else VEC_MIN_LANES
-    if (
-        use_v
-        and vec_available()
-        and len(seeds) >= min_lanes
-        and len({config.workload for _si, config in cells}) == 1
-        and any(batch_supported(config) for _si, config in cells)
-    ):
+    if batch_engages(cells, len(seeds), use_kernel, use_vec):
         from ..kernel.vec import paired_outcomes
 
         contexts = TrialContext.from_seeds(cells[0][1].workload, seeds)
@@ -510,20 +500,22 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every cell of *spec* with *trials* trials each.
 
-    ``jobs`` selects the number of worker processes (default: CPU
-    count, clamped to the number of dispatched work units so small
-    sweeps never spawn idle workers); ``jobs <= 1`` runs serially
-    in-process, which is also the mode the test suite uses.  ``engine``
-    picks the work-unit shape: ``"paired"`` (default) fans out
-    ``(x_index, seed_chunk)`` units that evaluate every series on one
-    generated workload per seed; ``"percell"`` is the historical
-    one-unit-per-(x, series) engine.  Results are invariant to ``jobs``
-    and ``engine`` — cell for cell, bit for bit — because trial seeds
-    depend only on ``(seed, x_index, trial_index)`` and both engines
-    chunk the seed sequence identically.  ``chunk_size`` changes only
-    how the partial mean-laxity/lateness sums are grouped before
-    merging, which can shift those two means by floating-point rounding
-    (success counts stay bit-identical).
+    The one-spec case of :func:`run_experiments` — same options, same
+    code path.  ``jobs`` selects the number of worker processes
+    (default: CPU count, clamped to the number of dispatched work units
+    so small sweeps never spawn idle workers); ``jobs <= 1`` runs
+    serially in-process, which is also the mode the test suite uses.
+    ``engine`` picks the work-unit shape: ``"paired"`` (default) judges
+    every series of a sweep point on one generated workload per seed;
+    ``"paired-ref"`` does the same on the reference pipeline;
+    ``"percell"`` is the historical one-unit-per-(x, series) engine.
+    Results are invariant to ``jobs`` and ``engine`` — cell for cell,
+    bit for bit — because trial seeds depend only on ``(seed, x_index,
+    trial_index)`` and every engine chunks the seed sequence
+    identically.  ``chunk_size`` changes only how the partial
+    mean-laxity/lateness sums are grouped before merging, which can
+    shift those two means by floating-point rounding (success counts
+    stay bit-identical).
 
     ``cache`` — a :class:`~repro.store.TrialStore` or a directory path
     — consults the persistent result store before computing: completed
@@ -535,6 +527,236 @@ def run_experiment(
     accelerates *overlapping* sweeps: added series, widened x axes, or
     raised trial counts recompute just the missing chunks.
     """
+    return run_experiments(
+        [spec],
+        trials=trials,
+        seed=seed,
+        jobs=jobs,
+        chunk_size=chunk_size,
+        engine=engine,
+        cache=cache,
+    )[0]
+
+
+def run_experiments(
+    specs: Sequence[ExperimentSpec],
+    *,
+    trials: int = 1024,
+    seed: int = 2026,
+    jobs: int | None = None,
+    chunk_size: int = 32,
+    engine: str = "paired",
+    cache: "TrialStore | str | Path | None" = None,
+) -> list[ExperimentResult]:
+    """Run several experiments as one plan; one result per spec, in order.
+
+    Options as in :func:`run_experiment`; the planning is described at
+    :func:`iter_experiments`.  Each result equals the one
+    :func:`run_experiment` returns for its spec alone, byte for byte
+    (``elapsed_seconds`` and ``cache_stats`` aside).  Raises the error
+    of the first failing experiment.
+    """
+    results = []
+    with closing(
+        iter_experiments(
+            specs,
+            trials=trials,
+            seed=seed,
+            jobs=jobs,
+            chunk_size=chunk_size,
+            engine=engine,
+            cache=cache,
+        )
+    ) as outcomes:
+        for outcome in outcomes:
+            if isinstance(outcome, ReproError):
+                raise outcome
+            results.append(outcome)
+    return results
+
+
+class _Unit:
+    """One ``(workload, x_index, seed chunk)`` block of a joint plan.
+
+    ``cells`` lists the distinct configs still to judge on the block,
+    each under its :func:`cell_chunk_key` (the :func:`run_paired_cells`
+    input), and ``users`` the experiments waiting for it.
+    """
+
+    __slots__ = ("seeds", "cells", "users")
+
+    def __init__(self, seeds: list[int]) -> None:
+        self.seeds = seeds
+        self.cells: list[tuple[str, TrialConfig]] = []
+        self.users: list[int] = []
+
+
+def iter_experiments(
+    specs: Sequence[ExperimentSpec],
+    *,
+    trials: int = 1024,
+    seed: int = 2026,
+    jobs: int | None = None,
+    chunk_size: int = 32,
+    engine: str = "paired",
+    cache: "TrialStore | str | Path | None" = None,
+) -> Iterator["ExperimentResult | ReproError"]:
+    """Run *specs* as one paired job; yield their outcomes as they complete.
+
+    The planner behind :func:`run_experiment` and :func:`run_experiments`:
+
+    1. Every spec is sharded into units keyed by ``(WorkloadParams,
+       x_index, seed chunk)``.  Seeds depend only on ``(seed, x_index,
+       trial_index)``, so specs that sweep the same workload at the same
+       x index share the unit, and each seed's workload is generated
+       once for all of them.
+    2. Within a unit the cells are deduplicated by
+       :func:`cell_chunk_key`, the store's content address: a config
+       that several experiments ask for is judged once.
+    3. Each unit is judged by one :func:`run_paired_cells` call
+       (``engine="percell"``: one unit per distinct cell chunk, judged
+       by :func:`run_cell`), on one process pool for the whole plan.
+    4. The partials scatter back to every ``(experiment, x, series)``
+       that asked for them; each cell merges its chunks in seed order,
+       the merge order of a single-spec run.
+
+    Units run in the order they were first planned.  Yields one item
+    per spec, in *specs* order: its :class:`ExperimentResult`, or the
+    :class:`~repro.errors.ReproError` that failed it — a unit that
+    raises fails exactly the experiments that use it, and the others
+    still complete.  An experiment is yielded as soon as its last unit
+    is merged and every spec before it has been yielded, so a consumer
+    that writes each result on arrival keeps the finished prefix of an
+    interrupted run.
+
+    ``elapsed_seconds`` is the wall-clock from the start of the plan to
+    that experiment's completion.  With a store, each key is looked up
+    once and attributed to the experiment that planned it first, so the
+    per-experiment ``cache_stats`` add up to the run's store activity.
+    """
+    _check_options(trials, jobs, chunk_size, engine)
+    store, owned = _resolve_store(cache)
+    start = time.perf_counter()
+    try:
+        done: list[ExperimentResult | ReproError | None] = [None] * len(specs)
+        # Per experiment: ((x_index, series_index), key) in merge order,
+        # and its store [hits, misses, appends].
+        slots: list[list[tuple[tuple[int, int], str]]] = [[] for _ in specs]
+        counts = [[0, 0, 0] for _ in specs]
+        owner: dict[str, int] = {}  # key -> experiment that planned it first
+        partials: dict[str, CellResult] = {}
+        computed_in: dict[str, _Unit] = {}
+        units: dict[Any, _Unit] = {}
+        for e, spec in enumerate(specs):
+            try:
+                groups = spec.cells_by_x()
+            except ReproError as exc:
+                done[e] = exc
+                continue
+            for xi, _x, group in groups:
+                seeds = _cell_seeds(seed, xi, trials)
+                for lo in range(0, trials, chunk_size):
+                    chunk = seeds[lo : lo + chunk_size]
+                    for si, _label, config in group:
+                        key = cell_chunk_key(config, chunk)
+                        slots[e].append(((xi, si), key))
+                        if key in owner:
+                            continue
+                        owner[key] = e
+                        if store is not None:
+                            cached = store.get(key)
+                            if cached is not None:
+                                counts[e][0] += 1
+                                partials[key] = CellResult.from_dict(cached)
+                                continue
+                            counts[e][1] += 1
+                        ukey = (
+                            key
+                            if engine == "percell"
+                            else (config.workload, xi, lo)
+                        )
+                        unit = units.get(ukey)
+                        if unit is None:
+                            unit = units[ukey] = _Unit(chunk)
+                        unit.cells.append((key, config))
+                        computed_in[key] = unit
+
+        waiting = [0] * len(specs)  # units each experiment still needs
+        for e in range(len(specs)):
+            needed = dict.fromkeys(
+                computed_in[key] for _xs, key in slots[e] if key in computed_in
+            )
+            for unit in needed:
+                unit.users.append(e)
+            waiting[e] = len(needed)
+
+        def finish(e: int) -> None:
+            cells: dict[tuple[int, int], CellResult] = {}
+            for xs, key in slots[e]:
+                cell = partials[key]
+                cells[xs] = cells[xs].merged(cell) if xs in cells else cell
+            stats = None
+            if store is not None:
+                now = store.stats()
+                hits, misses, appends = counts[e]
+                stats = StoreStats(
+                    hits=hits,
+                    misses=misses,
+                    appends=appends,
+                    records=now.records,
+                    bytes=now.bytes,
+                )
+            spec = specs[e]
+            done[e] = ExperimentResult(
+                name=spec.name,
+                title=spec.title,
+                x_label=spec.x_label,
+                x_values=list(spec.x_values),
+                series=list(spec.series),
+                cells=cells,
+                trials_per_cell=trials,
+                seed=seed,
+                elapsed_seconds=time.perf_counter() - start,
+                paper_reference=spec.paper_reference,
+                cache_stats=stats,
+            )
+
+        for e in range(len(specs)):
+            if done[e] is None and not waiting[e]:
+                finish(e)
+        emitted = 0
+        for unit, judged in _run_units(list(units.values()), engine, jobs):
+            if isinstance(judged, ReproError):
+                for e in unit.users:
+                    if done[e] is None:
+                        done[e] = judged
+            else:
+                partials.update(judged)
+                if store is not None:
+                    # Each experiment's appends are its own keys' records.
+                    records: dict[int, list[tuple[str, Any]]] = {}
+                    for key, cell in judged:
+                        records.setdefault(owner[key], []).append(
+                            (key, cell.to_dict())
+                        )
+                    for e, batch in records.items():
+                        counts[e][2] += store.put_many(batch)
+                for e in unit.users:
+                    waiting[e] -= 1
+                    if done[e] is None and not waiting[e]:
+                        finish(e)
+            while emitted < len(specs) and done[emitted] is not None:
+                yield done[emitted]
+                emitted += 1
+        yield from done[emitted:]
+    finally:
+        if owned:
+            store.close()
+
+
+def _check_options(
+    trials: int, jobs: int | None, chunk_size: int, engine: str
+) -> None:
     if trials < 1:
         raise ExperimentError("trials must be at least 1")
     if jobs is not None and jobs < 1:
@@ -551,46 +773,6 @@ def run_experiment(
         raise ExperimentError(
             f"unknown engine {engine!r}; choose from {ENGINE_NAMES}"
         )
-    store, owned = _resolve_store(cache)
-    start = time.perf_counter()
-    result = ExperimentResult(
-        name=spec.name,
-        title=spec.title,
-        x_label=spec.x_label,
-        x_values=list(spec.x_values),
-        series=list(spec.series),
-        trials_per_cell=trials,
-        seed=seed,
-        paper_reference=spec.paper_reference,
-    )
-
-    stats_before = store.stats() if store is not None else None
-    try:
-        if engine == "percell":
-            partials = _run_percell_units(
-                spec, trials, seed, jobs, chunk_size, store
-            )
-        else:
-            # "paired" defers to the REPRO_KERNEL switch per trial;
-            # "paired-ref" pins the reference pipeline (kernel oracle).
-            partials = _run_paired_units(
-                spec, trials, seed, jobs, chunk_size, store,
-                use_kernel=False if engine == "paired-ref" else None,
-            )
-    finally:
-        if store is not None:
-            result.cache_stats = store.stats().since(stats_before)
-            if owned:
-                store.close()
-
-    for key, cell in partials:
-        if key in result.cells:
-            result.cells[key] = result.cells[key].merged(cell)
-        else:
-            result.cells[key] = cell
-
-    result.elapsed_seconds = time.perf_counter() - start
-    return result
 
 
 def _resolve_store(
@@ -617,37 +799,71 @@ def _resolve_jobs(jobs: int | None, n_units: int | None = None) -> int:
     return resolved
 
 
-def _collect(futures, what: str = "cell"):
-    """Drain (key, future) pairs, surfacing worker crashes clearly."""
-    out = []
-    for key, fut in futures:
-        try:
-            out.append((key, fut.result()))
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise ExperimentError(
-                f"worker failed on {what} {key}: {exc}"
-            ) from exc
-    return out
+def _judge(
+    engine: str, cells: list[tuple[str, TrialConfig]], seeds: list[int]
+) -> list[tuple[str, CellResult]]:
+    """The partials of one planned unit, under their cell keys."""
+    if engine == "percell":
+        ((key, config),) = cells
+        return [(key, run_cell(config, seeds))]
+    # "paired" defers to the REPRO_KERNEL switch per trial; "paired-ref"
+    # pins the reference pipeline (the kernel's oracle).
+    return run_paired_cells(
+        cells, seeds, False if engine == "paired-ref" else None
+    )
+
+
+def _run_units(units: list[_Unit], engine: str, jobs: int | None):
+    """Judge *units* in plan order; yield ``(unit, partials)`` pairs.
+
+    A unit that raised a :class:`ReproError` yields the error in place
+    of its partials.  A single unit always runs inline: forking a pool
+    to judge one chunk costs more than the chunk (the warm-cache tail
+    of a resumed sweep hits this constantly).
+    """
+    workers = _resolve_jobs(jobs, len(units))
+    if workers <= 1:
+        for unit in units:
+            try:
+                judged = _judge(engine, unit.cells, unit.seeds)
+            except ReproError as exc:
+                judged = exc
+            yield unit, judged
+        return
+    tasks = (
+        (u, _judge, (engine, unit.cells, unit.seeds))
+        for u, unit in enumerate(units)
+    )
+    for u, judged in _run_pool(workers, tasks, what="unit"):
+        yield units[u], judged
 
 
 def _run_pool(max_workers: int, tasks, what: str):
-    """Run ``(key, args)`` tasks on a process pool, interrupt-safely.
+    """Run ``(key, callable, args)`` tasks on a process pool, interrupt-safely.
 
-    ``tasks`` yields ``(key, callable, args)``; returns ``_collect``'s
-    ``(key, result)`` list.  The happy path is a plain submit/drain.
-    On *any* teardown — KeyboardInterrupt first among them — queued
-    futures are cancelled and the worker processes terminated instead
-    of the default ``shutdown(wait=True)``, which would keep computing
-    every queued unit after Ctrl-C and strand the user.  Discarding
-    running work is safe: results only reach the caller (and any
-    result store) after a future completes in-parent.
+    Yields ``(key, result)`` in task order as the results arrive; a
+    task that raised yields its :class:`ReproError` instead, and any
+    other worker failure as an :class:`ExperimentError` naming the
+    task.  On *any* teardown — KeyboardInterrupt first among them, or
+    the consumer closing this generator — queued futures are cancelled
+    and the worker processes terminated instead of the default
+    ``shutdown(wait=True)``, which would keep computing every queued
+    unit after Ctrl-C and strand the user.  Discarding running work is
+    safe: results only reach the caller (and any result store) after a
+    future completes in-parent.
     """
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
         futures = [(key, pool.submit(fn, *args)) for key, fn, args in tasks]
-        out = _collect(futures, what=what)
+        for key, fut in futures:
+            try:
+                result = fut.result()
+            except ReproError as exc:
+                result = exc
+            except Exception as exc:
+                result = ExperimentError(f"worker failed on {what} {key}: {exc}")
+                result.__cause__ = exc
+            yield key, result
     except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
         # shutdown() only stops *queued* work; in-flight chunks would
@@ -660,140 +876,3 @@ def _run_pool(max_workers: int, tasks, what: str):
                 pass
         raise
     pool.shutdown(wait=True)
-    return out
-
-
-def _run_percell_units(
-    spec: ExperimentSpec,
-    trials: int,
-    seed: int,
-    jobs: int | None,
-    chunk_size: int,
-    store: TrialStore | None,
-) -> list[tuple[tuple[int, int], CellResult]]:
-    """The historical engine: one work unit per (cell, seed chunk)."""
-    units: list[tuple[tuple[int, int], TrialConfig, list[int]]] = []
-    for xi, _x, si, _label, config in spec.cells():
-        seeds = _cell_seeds(seed, xi, trials)
-        for lo in range(0, trials, chunk_size):
-            units.append(((xi, si), config, seeds[lo : lo + chunk_size]))
-
-    # Partition units into store hits (restored) and pending work.
-    results: list[CellResult | None] = [None] * len(units)
-    store_keys: dict[int, str] = {}
-    pending: list[int] = []
-    for i, (_key, config, seeds) in enumerate(units):
-        if store is not None:
-            skey = cell_chunk_key(config, seeds)
-            cached = store.get(skey)
-            if cached is not None:
-                results[i] = CellResult.from_dict(cached)
-                continue
-            store_keys[i] = skey
-        pending.append(i)
-
-    if pending:
-        # A single pending unit always runs inline: forking a pool to
-        # judge one chunk costs more than the chunk (the warm-cache
-        # tail of a resumed sweep hits this constantly).
-        if len(pending) == 1 or _resolve_jobs(jobs, len(pending)) <= 1:
-            for i in pending:
-                _key, config, seeds = units[i]
-                results[i] = run_cell(config, seeds)
-        else:
-            fresh = _run_pool(
-                _resolve_jobs(jobs, len(pending)),
-                ((i, run_cell, (units[i][1], units[i][2])) for i in pending),
-                what="cell",
-            )
-            for i, cell in fresh:
-                results[i] = cell
-        if store is not None:
-            store.put_many(
-                (store_keys[i], results[i].to_dict()) for i in pending
-            )
-
-    # Emit in unit order — the exact merge order of the uncached run.
-    return [(units[i][0], results[i]) for i in range(len(units))]
-
-
-def _run_paired_units(
-    spec: ExperimentSpec,
-    trials: int,
-    seed: int,
-    jobs: int | None,
-    chunk_size: int,
-    store: TrialStore | None,
-    use_kernel: bool | None = None,
-) -> list[tuple[tuple[int, int], CellResult]]:
-    """The paired engine: one work unit per (x_index, seed chunk).
-
-    Each unit returns one partial per series; partials are flattened
-    back to ``((x_index, series_index), CellResult)`` pairs in chunk
-    order per cell — the same merge order as the per-cell engine, so
-    the sequential weighted-mean merges produce identical floats.
-
-    With a store, a unit dispatches only its *missing* series (the
-    delta-sweep path): the shared paired workloads are generated once
-    per seed either way, but already-stored series skip judgment
-    entirely, and a fully stored unit never reaches a worker.
-    """
-    units: list[tuple[int, list[tuple[int, TrialConfig]], list[int]]] = []
-    for xi, _x, group in spec.cells_by_x():
-        cells = [(si, config) for si, _label, config in group]
-        seeds = _cell_seeds(seed, xi, trials)
-        for lo in range(0, trials, chunk_size):
-            units.append((xi, cells, seeds[lo : lo + chunk_size]))
-
-    unit_results: list[dict[int, CellResult]] = [{} for _ in units]
-    unit_keys: list[dict[int, str]] = [{} for _ in units]
-    dispatch: list[tuple[int, list[tuple[int, TrialConfig]], list[int]]] = []
-    for u, (_xi, cells, seeds) in enumerate(units):
-        missing = cells
-        if store is not None:
-            missing = []
-            for si, config in cells:
-                skey = cell_chunk_key(config, seeds)
-                cached = store.get(skey)
-                if cached is not None:
-                    unit_results[u][si] = CellResult.from_dict(cached)
-                else:
-                    unit_keys[u][si] = skey
-                    missing.append((si, config))
-        if missing:
-            dispatch.append((u, missing, seeds))
-
-    if dispatch:
-        # A single dispatched unit always runs inline in the parent
-        # process — no pool spin-up for the warm-cache tail where one
-        # chunk is missing (fork/import costs more than the kernel
-        # spends judging it).
-        if len(dispatch) == 1 or _resolve_jobs(jobs, len(dispatch)) <= 1:
-            batches = [
-                (u, run_paired_cells(cells, seeds, use_kernel))
-                for u, cells, seeds in dispatch
-            ]
-        else:
-            batches = _run_pool(
-                _resolve_jobs(jobs, len(dispatch)),
-                (
-                    (u, run_paired_cells, (cells, seeds, use_kernel))
-                    for u, cells, seeds in dispatch
-                ),
-                what="sweep-point unit",
-            )
-        records: list[tuple[str, dict[str, Any]]] = []
-        for u, partials in batches:
-            for si, cell in partials:
-                unit_results[u][si] = cell
-                if store is not None:
-                    records.append((unit_keys[u][si], cell.to_dict()))
-        if store is not None:
-            store.put_many(records)
-
-    # Flatten per unit in series order — identical to the uncached walk.
-    return [
-        ((units[u][0], si), unit_results[u][si])
-        for u in range(len(units))
-        for si, _config in units[u][1]
-    ]

@@ -34,13 +34,7 @@ from ..experiments.runner import (
     run_paired_cells,
 )
 from ..experiments.spec import ExperimentSpec, TrialConfig
-from ..kernel.vec import (
-    VEC_MIN_LANES,
-    batch_supported,
-    vec_available,
-    vec_enabled,
-    vec_mode,
-)
+from ..kernel.vec import batch_engages, vec_available, vec_enabled
 from ..store import TrialStore, store_key
 
 __all__ = [
@@ -104,9 +98,10 @@ def extract_units(
 ) -> list[WorkUnit]:
     """Shard *spec* into the paired engine's work units, in merge order.
 
-    The enumeration (x-major, seed-chunk-minor) matches
-    ``_run_paired_units`` exactly, so a merge that restores these units
-    from the store walks the same order as an uncached run.
+    The enumeration is x-major, seed-chunk-minor, and each unit's keys
+    are the :func:`~repro.experiments.runner.cell_chunk_key` addresses
+    the experiment planner looks up, so a merge restores every unit
+    from the store in the order of an uncached run.
     """
     if trials < 1:
         raise FabricError("trials must be at least 1")
@@ -248,15 +243,10 @@ def compute_units(
     are computed independently in the batch driver and the aggregation
     is the very code :func:`run_paired_cells` uses, so the records are
     bit-identical to computing each unit alone — batching changes the
-    protocol cost, never the bytes.  Groups too narrow for the vec tier
-    (or with it unavailable/off) fall back to per-unit
+    protocol cost, never the bytes.  Groups the vec tier does not take
+    (:func:`~repro.kernel.vec.batch_engages`) fall back to per-unit
     :func:`compute_unit`.
     """
-    pinned = use_vec is True or vec_mode() == "on"
-    use_v = use_vec if use_vec is not None else vec_enabled()
-    if use_kernel is False:
-        use_v = False
-    min_lanes = 2 if pinned else VEC_MIN_LANES
     results: list[tuple[str, dict[str, Any]]] = []
     i = 0
     while i < len(units):
@@ -269,14 +259,7 @@ def compute_units(
         i += len(group)
         cells = list(group[0].cells)
         lanes = sum(len(u.seeds) for u in group)
-        if (
-            len(group) > 1
-            and use_v
-            and vec_available()
-            and lanes >= min_lanes
-            and len({config.workload for _si, config in cells}) == 1
-            and any(batch_supported(config) for _si, config in cells)
-        ):
+        if len(group) > 1 and batch_engages(cells, lanes, use_kernel, use_vec):
             from ..kernel.vec import paired_outcomes
 
             seeds = [s for u in group for s in u.seeds]

@@ -78,34 +78,44 @@ def run_trial_kernel(
     Produces the exact :class:`TrialOutcome` of the reference
     :func:`repro.experiments.runner.run_trial` for every supported
     config (see :func:`kernel_supported`); callers must gate on that
-    predicate.  ``use_vec=True`` routes the weight stage and the
-    slicing tail ranking through :mod:`repro.kernel.vec` (same floats,
-    array ops); callers should additionally gate on
-    :func:`repro.kernel.vec.vec_available`.
+    predicate.  ``use_vec=True`` routes the weight stage through
+    :mod:`repro.kernel.vec` (same floats, array ops); callers should
+    additionally gate on :func:`repro.kernel.vec.vec_available`.  The
+    estimates and the sliced assignment are memoized on *context*
+    (:meth:`~repro.experiments.context.TrialContext.assignment`), so
+    configs that differ only in bus model or lateness mode slice once.
     """
     from ..experiments.spec import TrialOutcome
 
     cw = context.compiled
-    metric = get_metric(config.metric, config.adaptive)
-    est_obj = get_estimator(config.estimator)
-    est_key = est_obj.name
-    if (
-        est_obj is WCET_AVG or est_obj is WCET_MAX or est_obj is WCET_MIN
-    ):
-        # The stateless per-task estimators combine the platform-valid
-        # WCET rows directly — no string-keyed estimate map needed.
-        est = cw.estimates_from_vals(est_key, est_obj.combine)
-    else:
-        # Graph-aware or custom strategies go through the reference map.
-        est_map = context.estimates_for(config.estimator)
-        est = cw.estimates_list(est_key, est_map)
-    if use_vec:
-        from .vec import vec_weights
 
-        weights = vec_weights(cw, metric, est, est_key=est_key)
-    else:
-        weights = kernel_weights(cw, metric, est, est_key=est_key)
-    ka = kernel_slice(cw, metric, weights, use_vec=use_vec)
+    def slice_windows():
+        metric = get_metric(config.metric, config.adaptive)
+        est_obj = get_estimator(config.estimator)
+        est_key = est_obj.name
+        if (
+            est_obj is WCET_AVG or est_obj is WCET_MAX or est_obj is WCET_MIN
+        ):
+            # The stateless per-task estimators combine the
+            # platform-valid WCET rows directly — no string-keyed
+            # estimate map needed.
+            est = cw.estimates_from_vals(est_key, est_obj.combine)
+        else:
+            # Graph-aware or custom strategies go through the reference
+            # map.
+            est_map = context.estimates_for(config.estimator)
+            est = cw.estimates_list(est_key, est_map)
+        if use_vec:
+            from .vec import vec_weights
+
+            weights = vec_weights(cw, metric, est, est_key=est_key)
+        else:
+            weights = kernel_weights(cw, metric, est, est_key=est_key)
+        return est, kernel_slice(cw, metric, weights)
+
+    est, ka = context.assignment(
+        config, "vec" if use_vec else "kernel", slice_windows
+    )
 
     comm = (
         ContentionBus(config.workload.bus_delay_per_item)
@@ -138,8 +148,8 @@ def run_trial_kernel(
 def run_trial_vec(
     config: "TrialConfig", context: "TrialContext"
 ) -> "TrialOutcome":
-    """One trial through the vectorized tier (NumPy weight stage and
-    tail ranking over the compiled slicing/EDF pipeline).
+    """One trial through the vectorized tier (NumPy weight stage over
+    the compiled slicing/EDF pipeline).
 
     Bit-identical to :func:`run_trial_kernel` and the reference for
     every supported config; callers gate on :func:`kernel_supported`
@@ -147,5 +157,3 @@ def run_trial_vec(
     the dispatcher must fall through to the pure-Python kernel).
     """
     return run_trial_kernel(config, context, use_vec=True)
-
-

@@ -9,16 +9,18 @@ this layer lifts the remaining hot loops onto whole-array NumPy ops:
   arrays (thresholds, static levels, average parallelism ξ, the
   ADAPT-G/ADAPT-L surplus inflation) as elementwise array expressions,
   batched across every seed of a ``(cell, chunk)`` unit;
-* :func:`vec_tail_rank` — the slicing DP's per-head candidate ranking
-  over vectorized laxity/weight arrays (used by
-  :func:`repro.kernel.slicing.kernel_slice` when the tail set is wide);
 * :func:`vec_schedule_edf_batch` — a lockstep EDF engine that advances
   *all* seeds of a chunk one placement per step, batching the ready-set
   deadline comparisons and the per-processor placement probes as
   ``[lanes × tasks]`` array ops;
 * :func:`paired_outcomes` — the seed-batch driver the paired engine
   calls: one shared array pipeline replaces thousands of per-trial
-  Python operations.
+  Python operations; :func:`batch_engages` is the one rule deciding
+  when a seed batch takes it.
+
+Slicing stays per lane on the compiled scalar DP
+(:func:`repro.kernel.slicing.kernel_slice`): ranking a head's candidate
+tails on arrays measured slower than the scalar scan at trial sizes.
 
 Bit-identity contract: on the default tie-break the vectorized path
 produces the exact floats of the reference pipeline.  The load-bearing
@@ -74,8 +76,8 @@ __all__ = [
     "vec_arrays",
     "vec_weights",
     "vec_weights_batch",
-    "vec_tail_rank",
     "vec_schedule_edf_batch",
+    "batch_engages",
     "paired_outcomes",
 ]
 
@@ -732,61 +734,6 @@ def vec_weights(
 
 
 # ----------------------------------------------------------------------
-# Slicing: vectorized per-head tail ranking
-# ----------------------------------------------------------------------
-
-#: Minimum tail-set width before the slicing DP hands its candidate
-#: ranking to NumPy — below this the per-op overhead loses to the
-#: scalar scan.
-VEC_TAIL_MIN = 16
-
-
-def vec_tail_rank(
-    tails: Sequence[int],
-    dist: Sequence[float | None],
-    cnt: Sequence[int],
-    dl: Sequence[float],
-    a_h: float,
-    norm: bool,
-) -> tuple[list[int], float, float, int] | None:
-    """Rank one head's candidate tails on vectorized laxity arrays.
-
-    Scores every tail with the reference formula — ``r = (window −
-    Σw)/Σw`` (NORM) or ``/length`` — then selects the minimum under the
-    (r, −Σw, −length) prefix of the selection order with staged masked
-    comparisons.  Returns ``(tied_tails, r, Σw, length)`` where
-    ``tied_tails`` holds every tail still tied after the three float
-    stages, **in the scan order of the caller**; the caller resolves
-    the final path-lexicographic tie-break scalar-side (it needs the DP
-    parent chain).  Returns ``None`` when NORM meets a non-positive
-    path weight, so the caller raises the reference ``MetricError``.
-    """
-    np = _numpy()
-    t = np.asarray(tails, dtype=np.int64)
-    total_w = np.array([dist[i] for i in tails], dtype=np.float64)
-    length = np.array([cnt[i] for i in tails], dtype=np.int64)
-    window = np.array([dl[i] for i in tails], dtype=np.float64) - a_h
-    if norm:
-        if bool((total_w <= 0.0).any()):
-            return None
-        r = (window - total_w) / total_w
-    else:
-        r = (window - total_w) / length
-    best_r = r.min()
-    m1 = r == best_r
-    best_w = total_w[m1].max()
-    m2 = m1 & (total_w == best_w)
-    best_len = int(length[m2].max())
-    m3 = m2 & (length == best_len)
-    return (
-        [int(i) for i in t[m3]],
-        float(best_r),
-        float(best_w),
-        best_len,
-    )
-
-
-# ----------------------------------------------------------------------
 # Lockstep batched EDF
 # ----------------------------------------------------------------------
 
@@ -1240,8 +1187,40 @@ def batch_supported(config: "TrialConfig") -> bool:
     return est.name in _BATCH_ESTIMATORS
 
 
+def batch_engages(
+    cells: Sequence[tuple[Any, "TrialConfig"]],
+    lanes: int,
+    use_kernel: bool | None = None,
+    use_vec: bool | None = None,
+) -> bool:
+    """Whether a seed batch of *lanes* lanes over *cells* runs through
+    :func:`paired_outcomes`.
+
+    The one dispatch rule of the batch tier, shared by the paired
+    engine (:func:`repro.experiments.runner.run_paired_cells`) and the
+    fabric workers (:func:`repro.fabric.units.compute_units`).  It
+    engages when the kernel is not pinned off, the tier is enabled
+    (``use_vec``, else the ``REPRO_VEC`` mode), NumPy imports, the
+    batch is wide enough — :data:`VEC_MIN_LANES` lanes in auto mode,
+    2 when pinned on by ``use_vec=True`` or ``REPRO_VEC=1`` — every
+    cell shares one workload family, and at least one cell is
+    :func:`batch_supported`.
+    """
+    if use_kernel is False:
+        return False
+    if not (use_vec if use_vec is not None else vec_enabled()):
+        return False
+    pinned = use_vec is True or vec_mode() == "on"
+    return (
+        vec_available()
+        and lanes >= (2 if pinned else VEC_MIN_LANES)
+        and len({config.workload for _si, config in cells}) == 1
+        and any(batch_supported(config) for _si, config in cells)
+    )
+
+
 def paired_outcomes(
-    cells: Sequence[tuple[int, "TrialConfig"]],
+    cells: Sequence[tuple[Any, "TrialConfig"]],
     seeds: Sequence[int],
     contexts: Sequence["TrialContext"],
     use_kernel: bool | None = None,
@@ -1253,8 +1232,9 @@ def paired_outcomes(
     each supported series the weight stage runs as one
     :func:`vec_weights_batch` across the seed lanes and the EDF stage
     as one :func:`vec_schedule_edf_batch`; slicing (inherently
-    sequential at trial size) runs per lane through the compiled DP
-    with vectorized tail ranking.  Lanes the batch flags as erroneous,
+    sequential at trial size) runs per lane through the compiled DP,
+    memoized on each lane's context so series that differ only in bus
+    model or lateness mode slice once.  Lanes the batch flags as erroneous,
     and unsupported series, fall back to the per-trial dispatcher in
     ``(seed, series)`` nested order, so any exception surfaces exactly
     where the sequential loop would raise it.
@@ -1301,7 +1281,11 @@ def paired_outcomes(
             if ests[sp] is None or weights[sp] is None:
                 scalar_lanes.add((si, sp))
                 continue
-            ka = kernel_slice(cws[sp], metric, weights[sp], use_vec=True)
+            ka = contexts[sp].assignment(
+                config,
+                "vec-batch",
+                lambda: kernel_slice(cws[sp], metric, weights[sp]),
+            )
             lane_rows[sp] = ka
             edf_lanes.append((si, sp))
             edf_args.append((cws[sp], ka.win_a, ka.win_d))
