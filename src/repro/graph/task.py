@@ -18,6 +18,7 @@ A task :math:`\\tau_i` is characterized by the static 4-tuple
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -41,7 +42,8 @@ class Task:
         Unique identifier within its task graph.
     wcet:
         Mapping from processor-class id to worst-case execution time on
-        that class.  Must be non-empty; every value must be positive.
+        that class.  Must be non-empty; every value must be positive
+        and finite.
     phasing:
         Earliest time of the first invocation (default ``0``).
     relative_deadline:
@@ -68,23 +70,26 @@ class Task:
                 "eligible processor class"
             )
         for cls, c in self.wcet.items():
-            if not (c > 0.0):
+            if not (0.0 < c < math.inf):
                 raise ValidationError(
                     f"task {self.id!r}: WCET on class {cls!r} must be "
-                    f"positive, got {c!r}"
+                    f"positive and finite, got {c!r}"
                 )
-        if self.phasing < 0.0:
+        if not (0.0 <= self.phasing < math.inf):
             raise ValidationError(
-                f"task {self.id!r}: phasing must be non-negative"
+                f"task {self.id!r}: phasing must be non-negative and finite"
             )
-        if self.relative_deadline is not None and self.relative_deadline <= 0.0:
+        if self.relative_deadline is not None and not (
+            0.0 < self.relative_deadline < math.inf
+        ):
             raise ValidationError(
-                f"task {self.id!r}: relative deadline must be positive"
+                f"task {self.id!r}: relative deadline must be positive "
+                "and finite"
             )
         if self.period is not None:
-            if self.period <= 0.0:
+            if not (0.0 < self.period < math.inf):
                 raise ValidationError(
-                    f"task {self.id!r}: period must be positive"
+                    f"task {self.id!r}: period must be positive and finite"
                 )
             if (
                 self.relative_deadline is not None

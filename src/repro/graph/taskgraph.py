@@ -13,6 +13,7 @@ within ``D`` of the arrival time of ``a1``.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import CycleError, GraphError, ValidationError
@@ -65,8 +66,8 @@ class TaskGraph:
             raise GraphError(f"self-loop on {src!r} is not allowed")
         if dst in self._succ[src]:
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
-        if message_size < 0.0:
-            raise GraphError("message size must be non-negative")
+        if not (0.0 <= message_size < math.inf):
+            raise GraphError("message size must be non-negative and finite")
         self._succ[src][dst] = float(message_size)
         self._pred[dst][src] = float(message_size)
 
@@ -74,8 +75,8 @@ class TaskGraph:
         """Attach the E-T-E deadline ``D`` to the input–output pair."""
         if src not in self._tasks or dst not in self._tasks:
             raise GraphError("E-T-E deadline endpoints must be graph tasks")
-        if deadline <= 0.0:
-            raise ValidationError("E-T-E deadline must be positive")
+        if not (0.0 < deadline < math.inf):
+            raise ValidationError("E-T-E deadline must be positive and finite")
         self._e2e[(src, dst)] = float(deadline)
 
     # ------------------------------------------------------------------
@@ -147,8 +148,8 @@ class TaskGraph:
         """Replace the message size ``m_{i,j}`` on an existing arc."""
         if not self.has_edge(src, dst):
             raise GraphError(f"no edge {src!r} -> {dst!r}")
-        if message_size < 0.0:
-            raise GraphError("message size must be non-negative")
+        if not (0.0 <= message_size < math.inf):
+            raise GraphError("message size must be non-negative and finite")
         self._succ[src][dst] = float(message_size)
         self._pred[dst][src] = float(message_size)
 

@@ -71,7 +71,6 @@ __all__ = [
     "vec_enabled",
     "vec_fastmath",
     "vec_mode",
-    "estimator_batch_supported",
     "vec_estimates_batch",
     "vec_arrays",
     "vec_weights",
@@ -445,17 +444,6 @@ _BATCH_ESTIMATORS = {
     WCET_MAX.name: "max",
     WCET_MIN.name: "min",
 }
-
-
-def estimator_batch_supported(est_name: str) -> bool:
-    """Whether *est_name* (canonical spelling) has a batched estimate stage.
-
-    The public gate for callers outside the trial engine — e.g. the
-    service's micro-batch flush path — that want to route many distinct
-    workloads through :func:`vec_estimates_batch` /
-    :func:`vec_weights_batch` without reaching into the private table.
-    """
-    return est_name in _BATCH_ESTIMATORS
 
 
 def _ordered_sum(np, mat, axis=1):

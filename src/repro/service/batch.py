@@ -88,16 +88,6 @@ class MicroBatcher(Generic[T, R]):
     on_batch:
         Optional observer called with each batch's size just before it
         is dispatched — the metrics hook.
-    flush_handler / flush_min:
-        Optional whole-flush fast path: a closed batch of at least
-        ``flush_min`` items is handed to ``flush_handler`` as one list
-        and must come back as one result-or-exception per item, in
-        order (an exception entry fails only that item's future).
-        Smaller batches — and every batch when no flush handler is set
-        — run the per-item ``handler`` loop, so single-request paths
-        and per-item instrumentation are untouched.  The service uses
-        this to route large flushes of distinct workloads through the
-        vectorized batch tier.
     """
 
     def __init__(
@@ -109,8 +99,6 @@ class MicroBatcher(Generic[T, R]):
         workers: int = 1,
         max_queue: int | None = None,
         on_batch: Callable[[int], None] | None = None,
-        flush_handler: "Callable[[list[T]], list] | None" = None,
-        flush_min: int = 8,
     ) -> None:
         if max_batch < 1:
             raise ValidationError(
@@ -126,13 +114,7 @@ class MicroBatcher(Generic[T, R]):
             raise ValidationError(
                 f"max_queue must be at least 1 (or None), got {max_queue}"
             )
-        if flush_min < 2:
-            raise ValidationError(
-                f"flush_min must be at least 2, got {flush_min}"
-            )
         self._handler = handler
-        self._flush_handler = flush_handler
-        self.flush_min = flush_min
         self.max_batch = max_batch
         self.max_wait = max_wait
         self.max_queue = max_queue
@@ -270,12 +252,6 @@ class MicroBatcher(Generic[T, R]):
     def _run_batch(
         self, batch: "list[tuple[T, Future[R]]]"
     ) -> None:
-        if (
-            self._flush_handler is not None
-            and len(batch) >= self.flush_min
-        ):
-            self._run_flush(batch)
-            return
         for item, future in batch:
             try:
                 if not future.set_running_or_notify_cancel():
@@ -286,39 +262,3 @@ class MicroBatcher(Generic[T, R]):
                 _resolve(future, result=self._handler(item))
             except BaseException as exc:  # noqa: BLE001 - routed to caller
                 _resolve(future, error=exc)
-
-    def _run_flush(self, batch: "list[tuple[T, Future[R]]]") -> None:
-        """Hand one whole closed batch to the flush handler.
-
-        Items whose future was already cancelled or failed (a timed
-        drain) are dropped before the call; the handler sees only live
-        items and must answer each one positionally — a result resolves
-        the future, an exception entry fails it.  A handler-level
-        exception (or a wrong-length answer) fails every live item, so
-        no future can be stranded by a buggy batch path.
-        """
-        live: "list[tuple[T, Future[R]]]" = []
-        for item, future in batch:
-            try:
-                if future.set_running_or_notify_cancel():
-                    live.append((item, future))
-            except InvalidStateError:
-                pass  # a timed drain already failed this future
-        if not live:
-            return
-        try:
-            results = self._flush_handler([item for item, _ in live])
-            if len(results) != len(live):
-                raise RuntimeError(
-                    f"flush handler answered {len(results)} of "
-                    f"{len(live)} items"
-                )
-        except BaseException as exc:  # noqa: BLE001 - routed to callers
-            for _, future in live:
-                _resolve(future, error=exc)
-            return
-        for (_, future), result in zip(live, results):
-            if isinstance(result, BaseException):
-                _resolve(future, error=result)
-            else:
-                _resolve(future, result=result)

@@ -43,8 +43,6 @@ from pathlib import Path
 from typing import Any
 
 from ..core.assignment import DeadlineAssignment
-from ..core.estimation import get_estimator
-from ..core.metrics import get_metric
 from ..core.slicing import distribute_deadlines
 from ..errors import ReproError, ServiceOverloadError
 from ..online.admission import AdmissionController, AdmissionDecision
@@ -67,15 +65,7 @@ __all__ = [
     "DeadlineAssignmentService",
     "ServiceHTTPServer",
     "create_server",
-    "VEC_FLUSH_MIN",
 ]
-
-#: Micro-batcher flush size at which distinct-workload batches route
-#: through the vectorized estimate/weight stages (:mod:`repro.kernel.vec`)
-#: instead of per-request kernel calls.  Single-flight guarantees the
-#: items of one flush carry distinct digests, so a flush this large is
-#: by construction a batch of ≥ VEC_FLUSH_MIN distinct workloads.
-VEC_FLUSH_MIN = 8
 
 
 class DeadlineAssignmentService:
@@ -134,8 +124,6 @@ class DeadlineAssignmentService:
                 workers=workers,
                 max_queue=max_queue,
                 on_batch=self.metrics.observe_batch,
-                flush_handler=self._compute_flush,
-                flush_min=VEC_FLUSH_MIN,
             )
         )
         # Single-flight: digest -> future of the in-flight computation.
@@ -255,134 +243,6 @@ class DeadlineAssignmentService:
             estimator=request.estimator,
             params=request.params,
         )
-
-    def _compute_flush(
-        self, requests: "list[AssignRequest]"
-    ) -> list:
-        """Compute one micro-batcher flush, batch-first.
-
-        Lanes inside the vectorized envelope — compiled-kernel metric,
-        batchable WCET-* estimator, NumPy importable, ``REPRO_KERNEL``
-        not disabled — share one :func:`vec_estimates_batch` +
-        :func:`vec_weights_batch` array pass per (metric, estimator)
-        group before running the per-lane slicing DP, exactly the
-        stages :func:`distribute_deadlines`'s kernel path runs
-        per-request.  Everything else — and every lane when fewer than
-        :data:`VEC_FLUSH_MIN` are eligible — falls back to the scalar
-        :meth:`_compute`, so unsupported metrics, validation errors and
-        NumPy-less deployments behave verbatim like the per-request
-        path.  Returns one result-or-exception per request, in order
-        (the :class:`MicroBatcher` flush contract).
-        """
-        results: list = [None] * len(requests)
-        plan: list = [None] * len(requests)
-        groups: dict[tuple, list[int]] = {}
-        for i, request in enumerate(requests):
-            gate = self._vec_flush_gate(request)
-            if gate is None:
-                continue
-            plan[i] = gate
-            metric_obj, est_obj = gate
-            params = request.params
-            key = (
-                request.metric,
-                est_obj.name,
-                None
-                if params is None
-                else (
-                    params.k_g,
-                    params.k_l,
-                    params.c_thres,
-                    params.c_thres_factor,
-                ),
-            )
-            groups.setdefault(key, []).append(i)
-        batched: set[int] = set()
-        if sum(len(lanes) for lanes in groups.values()) >= VEC_FLUSH_MIN:
-            for lanes in groups.values():
-                batched |= self._vec_flush_group(
-                    requests, lanes, plan, results
-                )
-        for i, request in enumerate(requests):
-            if i in batched:
-                continue
-            try:
-                results[i] = self._compute(request)
-            except BaseException as exc:  # noqa: BLE001 - routed per lane
-                results[i] = exc
-        return results
-
-    def _vec_flush_gate(self, request: AssignRequest):
-        """``(metric_obj, est_obj)`` when *request* may take the batch
-        tier, else ``None`` (the scalar path decides everything)."""
-        from ..kernel import KERNEL_METRIC_TYPES
-        from ..kernel.trial import kernel_enabled
-        from ..kernel.vec import estimator_batch_supported, vec_available
-
-        if not (kernel_enabled() and vec_available()):
-            return None
-        try:
-            metric_obj = get_metric(request.metric, request.params)
-            est_obj = get_estimator(request.estimator)
-        except Exception:  # noqa: BLE001 - scalar path raises verbatim
-            return None
-        if type(metric_obj) not in KERNEL_METRIC_TYPES:
-            return None
-        if not estimator_batch_supported(est_obj.name):
-            return None
-        return metric_obj, est_obj
-
-    def _vec_flush_group(
-        self,
-        requests: "list[AssignRequest]",
-        lanes: "list[int]",
-        plan: list,
-        results: list,
-    ) -> set[int]:
-        """Run one (metric, estimator) lane group through the vec tier.
-
-        Returns the lane indices it fully answered (result *or*
-        exception installed in *results*); the rest — invalid graphs,
-        error lanes the array stages flag as ``None`` — retry through
-        the scalar path so reference exceptions surface verbatim.
-        """
-        from ..graph.validation import validate_graph
-        from ..kernel import compile_workload, kernel_slice
-        from ..kernel.vec import vec_estimates_batch, vec_weights_batch
-
-        metric_obj, est_obj = plan[lanes[0]]
-        cws = []
-        ok_lanes: list[int] = []
-        for i in lanes:
-            request = requests[i]
-            try:
-                validate_graph(request.graph).raise_if_invalid()
-                cws.append(
-                    compile_workload(request.graph, request.platform)
-                )
-            except Exception:  # noqa: BLE001 - scalar retry re-raises
-                continue
-            ok_lanes.append(i)
-        if not ok_lanes:
-            return set()
-        try:
-            ests = vec_estimates_batch(cws, est_obj.name)
-            weights = vec_weights_batch(
-                cws, metric_obj, ests, est_obj.name
-            )
-        except Exception:  # noqa: BLE001 - batch stage bailed; go scalar
-            return set()
-        done: set[int] = set()
-        for b, i in enumerate(ok_lanes):
-            if ests[b] is None or weights[b] is None:
-                continue  # error lane: scalar retry raises verbatim
-            try:
-                ka = kernel_slice(cws[b], metric_obj, weights[b])
-                results[i] = ka.to_assignment(cws[b], est_obj.name)
-            except BaseException as exc:  # noqa: BLE001 - same as scalar
-                results[i] = exc
-            done.add(i)
-        return done
 
     def _platform_key(self, platform: Platform) -> str:
         text = json.dumps(

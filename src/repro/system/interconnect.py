@@ -18,6 +18,7 @@ Two richer models are provided as extensions:
 from __future__ import annotations
 
 import heapq
+import math
 from abc import ABC, abstractmethod
 from typing import Iterable
 
@@ -74,8 +75,8 @@ class SharedBus(CommunicationModel):
     """
 
     def __init__(self, per_item_delay: Time = 1.0) -> None:
-        if per_item_delay < 0.0:
-            raise PlatformError("per-item delay must be non-negative")
+        if not (0.0 <= per_item_delay < math.inf):
+            raise PlatformError("per-item delay must be non-negative and finite")
         self.per_item_delay = float(per_item_delay)
 
     def cost(self, src: ProcessorId, dst: ProcessorId, message_size: float) -> Time:
@@ -99,8 +100,8 @@ class LinkTopology(CommunicationModel):
     def __init__(self, links: Iterable[tuple[str, str, Time]]) -> None:
         self._adj: dict[str, dict[str, float]] = {}
         for a, b, delay in links:
-            if delay < 0.0:
-                raise PlatformError("link delay must be non-negative")
+            if not (0.0 <= delay < math.inf):
+                raise PlatformError("link delay must be non-negative and finite")
             if a == b:
                 raise PlatformError("self-links are not allowed")
             self._adj.setdefault(a, {})
@@ -160,8 +161,8 @@ class ContentionBus(CommunicationModel):
     """
 
     def __init__(self, per_item_delay: Time = 1.0) -> None:
-        if per_item_delay < 0.0:
-            raise PlatformError("per-item delay must be non-negative")
+        if not (0.0 <= per_item_delay < math.inf):
+            raise PlatformError("per-item delay must be non-negative and finite")
         self.per_item_delay = float(per_item_delay)
         self._busy_until: Time = 0.0
 

@@ -13,6 +13,7 @@ special cases (Graham et al. [16]):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ValidationError
@@ -38,9 +39,10 @@ class ProcessorClass:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("processor class id must be non-empty")
-        if not (self.speed_factor > 0.0):
+        if not (0.0 < self.speed_factor < math.inf):
             raise ValidationError(
-                f"processor class {self.id!r}: speed factor must be positive"
+                f"processor class {self.id!r}: speed factor must be "
+                "positive and finite"
             )
 
     def scaled_time(self, base_time: float) -> float:

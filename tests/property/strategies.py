@@ -22,6 +22,7 @@ def task_graphs(
     max_width: int = 4,
     max_wcet: float = 30.0,
     n_classes: int = 2,
+    min_wcet: float = 1.0,
 ) -> TaskGraph:
     """A random layered DAG with per-class WCETs and message sizes."""
     n_levels = draw(st.integers(1, max_levels))
@@ -49,7 +50,10 @@ def task_graphs(
             wcet = {
                 cls: draw(
                     st.floats(
-                        1.0, max_wcet, allow_nan=False, allow_infinity=False
+                        min_wcet,
+                        max_wcet,
+                        allow_nan=False,
+                        allow_infinity=False,
                     )
                 )
                 for cls in eligible

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.graph import chain_graph, graph_to_dict
@@ -21,6 +23,37 @@ def chain_request(
     }
     doc.update(extra)
     return doc
+
+
+#: Where each numeric model field sits in a ``chain_request`` body.
+NON_FINITE_FIELDS = {
+    "wcet": lambda doc, v: doc["graph"]["tasks"][1]["wcet"].update(default=v),
+    "phasing": lambda doc, v: doc["graph"]["tasks"][0].update(phasing=v),
+    "relative_deadline": lambda doc, v: doc["graph"]["tasks"][1].update(
+        relative_deadline=v
+    ),
+    "period": lambda doc, v: doc["graph"]["tasks"][1].update(period=v),
+    "message_size": lambda doc, v: doc["graph"]["edges"][0].update(
+        message_size=v
+    ),
+    "e2e_deadline": lambda doc, v: doc["graph"]["e2e_deadlines"][0].update(
+        deadline=v
+    ),
+    "speed_factor": lambda doc, v: doc["platform"]["classes"][0].update(
+        speed_factor=v
+    ),
+    "per_item_delay": lambda doc, v: doc["platform"]["comm"].update(
+        per_item_delay=v
+    ),
+}
+
+
+def non_finite_request(field: str, value: float) -> dict:
+    """A ``chain_request`` body with *value* in *field*, decoded from the
+    ``NaN`` / ``Infinity`` tokens ``json.loads`` accepts on the wire."""
+    doc = chain_request()
+    NON_FINITE_FIELDS[field](doc, value)
+    return json.loads(json.dumps(doc))
 
 
 @pytest.fixture

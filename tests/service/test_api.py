@@ -21,7 +21,7 @@ from repro.core.slicing import distribute_deadlines
 from repro.graph import chain_graph
 from repro.system import identical_platform
 
-from .conftest import chain_request
+from .conftest import NON_FINITE_FIELDS, chain_request, non_finite_request
 
 
 class TestRequestParsing:
@@ -111,6 +111,14 @@ class TestRequestValidation:
             request_from_dict(
                 chain_request(admit=True, relative_deadline=float("inf"))
             )
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+    def test_rejected_where_it_enters_the_model(self, field, value):
+        with pytest.raises(ReproError, match="finite"):
+            request_from_dict(non_finite_request(field, value))
 
 
 class TestDigest:

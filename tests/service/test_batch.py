@@ -227,93 +227,3 @@ class TestValidation:
             MicroBatcher(lambda x: x, workers=0)
         with pytest.raises(ValidationError):
             MicroBatcher(lambda x: x, max_queue=0)
-
-
-class TestFlushHandler:
-    """The whole-batch fast path behind the vec batch tier."""
-
-    def test_small_batches_keep_per_item_handler(self):
-        calls = []
-        with MicroBatcher(
-            lambda x: calls.append(x) or x * 2,
-            max_wait=0.01,
-            flush_handler=lambda items: [item * 3 for item in items],
-            flush_min=8,
-        ) as batcher:
-            assert batcher.submit(5).result(timeout=5.0) == 10
-        assert calls == [5]
-
-    def test_large_batch_routes_through_flush_handler(self):
-        flushed = []
-
-        def flush(items):
-            flushed.append(list(items))
-            return [item * 3 for item in items]
-
-        with MicroBatcher(
-            lambda x: x * 2,
-            max_batch=16,
-            max_wait=0.2,
-            flush_handler=flush,
-            flush_min=4,
-        ) as batcher:
-            futures = [batcher.submit(i) for i in range(8)]
-            results = [f.result(timeout=5.0) for f in futures]
-        assert results == [i * 3 for i in range(8)]
-        assert sum(len(batch) for batch in flushed) == 8
-
-    def test_exception_entry_fails_only_that_item(self):
-        def flush(items):
-            return [
-                ValueError(f"boom {item}") if item == 2 else item
-                for item in items
-            ]
-
-        with MicroBatcher(
-            lambda x: x,
-            max_batch=8,
-            max_wait=0.2,
-            flush_handler=flush,
-            flush_min=2,
-        ) as batcher:
-            futures = [batcher.submit(i) for i in range(4)]
-            done = [f for f in futures]
-            assert done[0].result(timeout=5.0) == 0
-            with pytest.raises(ValueError, match="boom 2"):
-                done[2].result(timeout=5.0)
-            assert done[3].result(timeout=5.0) == 3
-
-    def test_flush_handler_crash_fails_all_items_not_strands(self):
-        def flush(items):
-            raise RuntimeError("flush path exploded")
-
-        with MicroBatcher(
-            lambda x: x,
-            max_batch=8,
-            max_wait=0.2,
-            flush_handler=flush,
-            flush_min=2,
-        ) as batcher:
-            futures = [batcher.submit(i) for i in range(4)]
-            for future in futures:
-                with pytest.raises(RuntimeError, match="exploded"):
-                    future.result(timeout=5.0)
-
-    def test_wrong_length_answer_fails_all_items(self):
-        with MicroBatcher(
-            lambda x: x,
-            max_batch=8,
-            max_wait=0.2,
-            flush_handler=lambda items: [1],
-            flush_min=2,
-        ) as batcher:
-            futures = [batcher.submit(i) for i in range(3)]
-            for future in futures:
-                with pytest.raises(RuntimeError, match="answered"):
-                    future.result(timeout=5.0)
-
-    def test_flush_min_validated(self):
-        with pytest.raises(ValidationError):
-            MicroBatcher(
-                lambda x: x, flush_handler=lambda items: items, flush_min=1
-            )

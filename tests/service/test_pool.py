@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import threading
 import time
 
@@ -25,7 +26,7 @@ from repro.service import (
     create_server,
 )
 
-from .conftest import chain_request
+from .conftest import chain_request, non_finite_request
 
 
 def distinct_body(i: int, **extra) -> bytes:
@@ -94,6 +95,15 @@ class TestPooledEquivalence:
             server.shutdown()
             server.server_close()
             service.close(timeout=5.0)
+
+    def test_non_finite_number_is_400(self, pooled):
+        host, port = pooled.address
+        body = json.dumps(non_finite_request("wcet", math.inf)).encode()
+        status, _, reply = post_assign(host, port, body)
+        assert status == 400
+        doc = json.loads(reply)
+        assert doc["kind"] == "ValidationError"
+        assert "finite" in doc["error"]
 
     def test_healthz_and_unknown_path(self, pooled):
         host, port = pooled.address

@@ -1,6 +1,7 @@
 """End-to-end tests of the deadline-assignment service and HTTP layer."""
 
 import json
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -13,7 +14,7 @@ from repro.service import DeadlineAssignmentService, create_server
 from repro.system import identical_platform
 from repro.system.platform import platform_from_dict
 
-from .conftest import chain_request
+from .conftest import chain_request, non_finite_request
 
 
 @pytest.fixture
@@ -207,6 +208,15 @@ class TestHttpEndpoints:
         assert status == 400
         assert doc["kind"] in ("DistributionError", "ValidationError")
 
+    def test_non_finite_number_is_400(self, http_server):
+        _, base = http_server
+        status, doc = post(
+            base, "/assign", non_finite_request("e2e_deadline", math.nan)
+        )
+        assert status == 400
+        assert doc["kind"] == "ValidationError"
+        assert "finite" in doc["error"]
+
     def test_unknown_paths_are_404(self, http_server):
         _, base = http_server
         assert get(base, "/nope")[0] == 404
@@ -222,70 +232,8 @@ class TestHttpEndpoints:
 
 
 class TestVecFlushTier:
-    """Micro-batcher flushes of ≥ VEC_FLUSH_MIN distinct workloads take
-    the vectorized batch tier and stay bit-identical to the scalar path.
-    """
-
-    @staticmethod
-    def _requests(n, metric="ADAPT-G"):
-        from repro.service.api import request_from_dict
-
-        docs = [
-            chain_request(
-                wcets=(10 + i, 20 + 2 * i, 15 + i, 12 + i),
-                deadline=300.0 + i,
-                metric=metric,
-            )
-            for i in range(n)
-        ]
-        return [request_from_dict(doc) for doc in docs]
-
-    def test_flush_results_bit_identical_to_scalar(self):
-        from repro.service.api import response_from_assignment, response_to_dict
-        from repro.service.server import VEC_FLUSH_MIN
-
-        requests = self._requests(VEC_FLUSH_MIN + 4)
-        with DeadlineAssignmentService() as svc:
-            scalar = [svc._compute(r) for r in requests]
-            flushed = svc._compute_flush(requests)
-        assert all(not isinstance(r, BaseException) for r in flushed)
-        for request, a, b in zip(requests, scalar, flushed):
-            doc_a = response_to_dict(
-                response_from_assignment(a, "d", cached=False, admission=None)
-            )
-            doc_b = response_to_dict(
-                response_from_assignment(b, "d", cached=False, admission=None)
-            )
-            assert json.dumps(doc_a, sort_keys=True) == json.dumps(
-                doc_b, sort_keys=True
-            )
-
-    def test_flush_identical_without_numpy(self, monkeypatch):
-        """The NumPy-less fallback computes the same answers per item."""
-        monkeypatch.setenv("REPRO_VEC_NO_NUMPY", "1")
-        requests = self._requests(10)
-        with DeadlineAssignmentService() as svc:
-            scalar = [svc._compute(r) for r in requests]
-            flushed = svc._compute_flush(requests)
-        for a, b in zip(scalar, flushed):
-            assert not isinstance(b, BaseException)
-            assert sorted(a.windows) == sorted(b.windows)
-            for tid in a.windows:
-                assert a.window(tid) == b.window(tid)
-
-    def test_flush_isolates_invalid_lane(self):
-        """One bad request in a flush fails alone, exactly as scalar."""
-        from repro.service.api import request_from_dict
-
-        requests = self._requests(10)
-        bad_doc = chain_request()
-        bad_doc["graph"]["e2e_deadlines"] = []
-        requests.insert(5, request_from_dict(bad_doc))
-        with DeadlineAssignmentService() as svc:
-            flushed = svc._compute_flush(requests)
-        errors = [r for r in flushed if isinstance(r, BaseException)]
-        assert len(errors) == 1
-        assert flushed[5] is errors[0]
+    """A burst of distinct workloads through the micro-batcher answers
+    exactly like the per-request compute path."""
 
     def test_burst_of_distinct_workloads_served_through_batcher(self):
         """End to end: a distinct burst answers correctly via submit()."""

@@ -28,6 +28,21 @@ class TestSharedBus:
         assert bus.transfer("p1", "p2", 3.0, ready=10.0) == 13.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "build",
+    [
+        SharedBus,
+        ContentionBus,
+        lambda delay: LinkTopology([("a", "b", delay)]),
+    ],
+    ids=["SharedBus", "ContentionBus", "LinkTopology"],
+)
+def test_non_finite_delay_rejected(build, value):
+    with pytest.raises(PlatformError, match="finite"):
+        build(value)
+
+
 class TestZeroCost:
     def test_always_free(self):
         assert ZeroCost().cost("p1", "p2", 100.0) == 0.0
