@@ -116,7 +116,9 @@ def vec_leg(
     metrics folded into one lockstep EDF call (the seed-batch driver's
     production shape).  Per-rep cache clears make every rep recompute
     the value stages; structure arrays (compiled workloads, windows,
-    the lane stack) are prewarmed for both sides alike.
+    the lane stack) are prewarmed for both sides alike — the stack only
+    inside a :func:`~repro.kernel.vec.lane_stacks` scope, which the
+    caller opens.
 
     Raises ``SystemExit`` on any bit-identity mismatch — against the
     compiled kernel per lane, and against the reference oracle
@@ -337,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"paired-ref:     {ref_s:.3f} s")
     print(f"paired/kernel:  {kernel_s:.3f} s")
 
-    from repro.kernel.vec import vec_available
+    from repro.kernel.vec import lane_stacks, vec_available
 
     if vec_available():
         print(
@@ -345,9 +347,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.vec_lanes} lanes x {len(METRIC_NAMES)} metrics, "
             f"best of {args.repeats} interleaved"
         )
-        vk_s, vec_s, vec_lanes_total = vec_leg(
-            args.vec_lanes, args.repeats, args.vec_checks
-        )
+        with lane_stacks():  # the prewarmed stack serves every rep
+            vk_s, vec_s, vec_lanes_total = vec_leg(
+                args.vec_lanes, args.repeats, args.vec_checks
+            )
         vec_speedup = vk_s / vec_s
         vec_note = None
         print(f"kernel stages:  {vk_s:.3f} s")

@@ -277,6 +277,9 @@ def compute_units(
                     (unit.keys[j], accs[si].result(n).to_dict())
                     for j, (si, _config) in enumerate(cells)
                 )
+            # Free this group's workloads before the next group builds
+            # its own: otherwise two groups' worth peak together.
+            del contexts, outcomes
         else:
             for unit in group:
                 results.extend(compute_unit(unit, use_kernel, use_vec))

@@ -49,9 +49,10 @@ Python compiled kernel — same results, smaller speedup.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from ..core.estimation import WCET_AVG, WCET_MAX, WCET_MIN, get_estimator
 from ..core.metrics import AdaptGMetric, AdaptLMetric, get_metric
@@ -77,6 +78,7 @@ __all__ = [
     "vec_weights_batch",
     "vec_schedule_edf_batch",
     "batch_engages",
+    "lane_stacks",
     "paired_outcomes",
 ]
 
@@ -411,25 +413,43 @@ class _LaneStack:
         return part[0]
 
 
-#: Bounded memo of :class:`_LaneStack` by lane-list identity.  Entries
+#: The stacks of the innermost :func:`lane_stacks` scope of this thread
+#: (or task), by lane-list identity; ``None`` outside any scope.  Entries
 #: hold strong references to their workloads, so an ``id`` key can never
-#: be recycled while its entry lives; the LRU bound keeps a long sweep
-#: from pinning more than a few chunks' worth of arrays.
-_STACK_CACHE_CAP = 8
-_stack_cache: "OrderedDict[tuple[int, ...], _LaneStack]" = OrderedDict()
+#: be recycled while its entry lives.
+_stack_scope: "ContextVar[dict[tuple[int, ...], _LaneStack] | None]" = (
+    ContextVar("repro_vec_lane_stacks", default=None)
+)
+
+
+@contextmanager
+def lane_stacks() -> Iterator[None]:
+    """Share stacked lane arrays between the batch stages run inside.
+
+    Within the scope, stages over the same lane list reuse one
+    :class:`_LaneStack` — its structure arrays and the estimates
+    stage's ``est_pad`` stash.  The stacks hold their lanes' compiled
+    workloads with all their memos, so they die with the scope: a
+    worker that computes batch after batch keeps none of the earlier
+    ones alive.  :func:`paired_outcomes` runs in one scope per call.
+    """
+    token = _stack_scope.set({})
+    try:
+        yield
+    finally:
+        _stack_scope.reset(token)
 
 
 def _lane_stack(cws: Sequence[CompiledWorkload]) -> _LaneStack:
-    """The lane list's stacked arrays, memoized across batch stages."""
+    """The lane list's stacked arrays, shared within a :func:`lane_stacks`
+    scope (outside one, every call stacks afresh)."""
+    stacks = _stack_scope.get()
+    if stacks is None:
+        return _LaneStack(cws)
     key = tuple(map(id, cws))
-    st = _stack_cache.get(key)
+    st = stacks.get(key)
     if st is None:
-        st = _LaneStack(cws)
-        _stack_cache[key] = st
-        while len(_stack_cache) > _STACK_CACHE_CAP:
-            _stack_cache.popitem(last=False)
-    else:
-        _stack_cache.move_to_end(key)
+        st = stacks[key] = _LaneStack(cws)
     return st
 
 
@@ -1207,6 +1227,7 @@ def batch_engages(
     )
 
 
+@lane_stacks()
 def paired_outcomes(
     cells: Sequence[tuple[Any, "TrialConfig"]],
     seeds: Sequence[int],
@@ -1228,7 +1249,8 @@ def paired_outcomes(
     where the sequential loop would raise it.
 
     Returns ``{(series_index, seed_position): TrialOutcome}`` with the
-    same floats the sequential loop produces.
+    same floats the sequential loop produces.  Its stages share lane
+    stacks within the call only (:func:`lane_stacks`).
     """
     from ..experiments.spec import TrialOutcome
     from .slicing import kernel_slice

@@ -9,8 +9,10 @@ verdict from :class:`repro.online.AdmissionController`.
 Composition of one request:
 
 ``request_from_dict`` (strict validation) → ``request_digest``
-(canonical SHA-256 content address) → :class:`AssignmentCache` (LRU;
-repeated workloads skip the slicing hot path) → single-flight
+(canonical SHA-256 content address; a repeated raw body skips both
+through the body memo of ``DeadlineAssignmentService.assign_body``) →
+:class:`AssignmentCache` (LRU; repeated workloads skip the slicing hot
+path) → single-flight
 coalescing (concurrent identical misses share one computation) →
 :class:`MicroBatcher` (distinct misses coalesce into worker-pool
 batches, bounded by ``max_queue`` — overflow is shed as
@@ -25,7 +27,7 @@ Two serving topologies share that engine: ``--workers 1`` runs it
 in-process behind the stdlib :class:`ServiceHTTPServer` (today's exact
 path), while ``--workers N`` pre-forks N worker processes behind an
 asyncio front end (:class:`PooledFrontend` → :class:`WorkerPool`) that
-owns parsing, body-digest single-flight, 429 backpressure and the
+owns HTTP, body-digest single-flight, 429 backpressure and the
 merged ``/metrics`` exposition (:func:`aggregate_metrics`) — the
 horizontal-scale path for multi-core hosts.
 """

@@ -3,24 +3,26 @@
 The pooled topology (``repro serve --workers N``, N ≥ 2)::
 
     clients ──keep-alive HTTP──▶ PooledFrontend (1 asyncio thread)
-                                   │  parse · single-flight · 429 shed
+                                   │  HTTP · single-flight · 429 shed
                                    ├──pipe──▶ assign worker 0 ─┐
                                    ├──pipe──▶ assign worker 1 ─┤ shared
                                    └──pipe──▶ ...              ─┘ spill dir
 
 The front end owns everything cheap and I/O-bound — accept, a
 hand-rolled HTTP/1.1 keep-alive parser (stdlib only), backpressure and
-the graceful drain — and forwards parsed ``/assign`` bodies to the
-least-loaded worker process, where the existing
-:class:`~repro.service.server.DeadlineAssignmentService` does the
-actual cache/batch/kernel work.
+the graceful drain — and forwards raw ``/assign`` bodies to the
+least-loaded worker process, where
+:meth:`~repro.service.server.DeadlineAssignmentService.assign_body`
+decodes, computes or recalls, and encodes; the reply bytes come back
+as they go out.  The event loop never decodes request JSON or encodes
+a 200 reply.
 
 Single-flight moves *up* here: requests are coalesced by the SHA-256 of
 their raw body bytes, so a duplicate burst costs one pipe crossing and
 one worker computation no matter how many clients sent it.  Bodies
-containing an ``"admit"`` key never coalesce — admission is stateful
-(each submission advances a controller), so every admission request
-must reach a worker individually.  Body-hash coalescing is strictly
+that could carry an ``admit`` key never coalesce — admission is
+stateful (each submission advances a controller), so every admission
+request must reach a worker individually.  Body-hash coalescing is strictly
 weaker than the worker's canonical-digest single-flight, which still
 catches textually different but canonically equal requests that land
 on the same worker; requests split across workers are instead caught by
@@ -42,12 +44,11 @@ import hashlib
 import json
 import threading
 import time
-from typing import Any
 
-from ..errors import ServiceOverloadError
 from .agg import aggregate_metrics
 from .metrics import ServiceMetrics
 from .pool import RemoteAssignError, WorkerPool
+from .server import BadJSONError, assign_error, checked_length, load_body
 
 __all__ = ["PooledFrontend"]
 
@@ -64,7 +65,6 @@ _REASONS = {
 
 _MAX_REQUEST_LINE = 8192
 _MAX_HEADER_BYTES = 65536
-_MAX_BODY_BYTES = 64 << 20
 
 
 class PooledFrontend:
@@ -278,17 +278,9 @@ class PooledFrontend:
                     {"error": "chunked transfer encoding is not supported"},
                 )
                 return
-            try:
-                length = int(headers.get("content-length", "0") or "0")
-            except ValueError:
-                await self._reply_and_close(
-                    writer, 400, {"error": "invalid Content-Length"}
-                )
-                return
-            if length < 0 or length > _MAX_BODY_BYTES:
-                await self._reply_and_close(
-                    writer, 413, {"error": "request body too large"}
-                )
+            length, refusal = checked_length(headers.get("content-length", ""))
+            if refusal is not None:
+                await self._reply_and_close(writer, *refusal)
                 return
             body = await reader.readexactly(length) if length else b""
             keep_alive = (
@@ -389,24 +381,16 @@ class PooledFrontend:
     async def _assign_route(
         self, body: bytes
     ) -> tuple[int, bytes, str, dict[str, str]]:
-        try:
-            data = json.loads(body.decode() or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
-            self.metrics.errors.inc(kind="bad_json")
-            return self._json_response(
-                400,
-                {"error": f"request body is not valid JSON: {exc}"},
-                endpoint="assign",
-            )
         digest = hashlib.sha256(body).hexdigest()
-        # Admission mutates controller state per submission, so bodies
-        # that carry an admit key must each reach a worker — only pure
-        # (deterministic) assignment requests may coalesce.
-        coalesce = b'"admit"' not in body
+        # Admission mutates controller state per submission, so a body
+        # that could carry an admit key must reach a worker on its own.
+        # JSON keys may spell letters as \u escapes: only bodies with
+        # neither a literal "admit" nor any \u escape coalesce.
+        coalesce = b'"admit"' not in body and b"\\u" not in body
         leader = self._inflight.get(digest) if coalesce else None
         if leader is not None:
             return await self._follow(leader)
-        return await self._lead(digest if coalesce else None, data)
+        return await self._lead(digest if coalesce else None, body)
 
     async def _follow(
         self, leader: asyncio.Future
@@ -416,26 +400,19 @@ class PooledFrontend:
         Books exactly the counters the single-process service would
         have booked for a coalesced follower: a cache miss, a
         single-flight wait, a ``coalesced`` (or ``failed``) assignment,
-        and a latency observation.
+        and a latency observation — none for a body that is not JSON,
+        which never reaches the assignment path.
         """
         start = time.perf_counter()
-        self.metrics.cache_misses.inc()
-        self.metrics.singleflight_waits.inc()
         try:
-            doc = await asyncio.shield(leader)
+            reply = await asyncio.shield(leader)
         except BaseException as exc:  # noqa: BLE001 - mapped per kind
-            self.metrics.assignments.inc(source="failed")
-            self.metrics.assign_latency.observe(time.perf_counter() - start)
-            status, body, extra = self._map_assign_error(exc)
-            return self._json_response(
-                status, body, endpoint="assign", extra=extra
-            )
-        self.metrics.assignments.inc(source="coalesced")
-        self.metrics.assign_latency.observe(time.perf_counter() - start)
-        return self._json_response(200, doc, endpoint="assign")
+            return self._assign_failed(exc, start, follower=True)
+        self._book_miss(start, "coalesced", follower=True)
+        return self._response(200, reply, endpoint="assign")
 
     async def _lead(
-        self, digest: str | None, data: Any
+        self, digest: str | None, body: bytes
     ) -> tuple[int, bytes, str, dict[str, str]]:
         start = time.perf_counter()
         flight: asyncio.Future | None = None
@@ -443,64 +420,73 @@ class PooledFrontend:
             flight = asyncio.get_running_loop().create_future()
             self._inflight[digest] = flight
 
-        def settle(exc: BaseException | None, doc: Any = None) -> None:
+        def settle(exc: BaseException | None, reply: bytes = b"") -> None:
             if digest is not None:
                 self._inflight.pop(digest, None)
             if flight is None:
                 return
             if exc is None:
-                flight.set_result(doc)
+                flight.set_result(reply)
             else:
                 flight.set_exception(exc)
                 flight.exception()  # consumed here; followers optional
 
         try:
-            pool_future = self.pool.submit(data)
+            pool_future = self.pool.submit(body)
         except BaseException as exc:  # noqa: BLE001 - shed/refused path
+            # Never dispatched: a body that is not JSON still gets the
+            # worker's 400, and any other body the failure accounting
+            # the single-process service books for it.
+            try:
+                load_body(body)
+            except BadJSONError as bad:
+                exc = bad
             settle(exc)
-            # Never dispatched, so no worker booked the assign-side
-            # counters; mirror the single-process failure accounting.
-            self.metrics.cache_misses.inc()
-            self.metrics.assignments.inc(source="failed")
-            self.metrics.assign_latency.observe(time.perf_counter() - start)
-            status, body, extra = self._map_assign_error(exc)
-            return self._json_response(
-                status, body, endpoint="assign", extra=extra
-            )
+            return self._assign_failed(exc, start)
         try:
-            doc = await asyncio.wrap_future(pool_future)
+            reply = await asyncio.wrap_future(pool_future)
         except BaseException as exc:  # noqa: BLE001 - worker-side error
+            # The worker booked the assign-side counters already.
             settle(exc)
-            status, body, extra = self._map_assign_error(exc)
-            return self._json_response(
-                status, body, endpoint="assign", extra=extra
-            )
-        settle(None, doc)
-        return self._json_response(200, doc, endpoint="assign")
+            return self._assign_failed(exc)
+        settle(None, reply)
+        return self._response(200, reply, endpoint="assign")
 
-    def _map_assign_error(
-        self, exc: BaseException
-    ) -> tuple[int, dict, dict[str, str]]:
-        """Map a dispatch failure to the single-process HTTP contract."""
-        if isinstance(exc, ServiceOverloadError) or (
-            isinstance(exc, RemoteAssignError)
-            and exc.category == "overload"
-        ):
-            self.metrics.errors.inc(kind="ServiceOverloadError")
+    def _book_miss(
+        self, start: float, source: str, *, follower: bool = False
+    ) -> None:
+        """The assign-side counters of a request no worker served."""
+        self.metrics.cache_misses.inc()
+        if follower:
+            self.metrics.singleflight_waits.inc()
+        self.metrics.assignments.inc(source=source)
+        self.metrics.assign_latency.observe(time.perf_counter() - start)
+
+    def _assign_failed(
+        self,
+        exc: BaseException,
+        start: float | None = None,
+        *,
+        follower: bool = False,
+    ) -> tuple[int, bytes, str, dict[str, str]]:
+        """Answer a failed ``/assign`` like the single-process handler.
+
+        With a *start*, the request never reached a worker, so its
+        assign-side counters are booked here — unless its body is not
+        JSON, which the single-process service rejects before them.
+        """
+        if isinstance(exc, RemoteAssignError):
+            status, doc, kind = exc.status, exc.doc, exc.kind
+        else:
+            status, doc, kind = assign_error(exc)
+        if start is not None and kind != "bad_json":
+            self._book_miss(start, "failed", follower=follower)
+        self.metrics.errors.inc(kind=kind)
+        extra = {}
+        if status == 429:
             self.metrics.overloads.inc()
-            return (
-                429,
-                {"error": str(exc), "kind": "ServiceOverloadError"},
-                {"Retry-After": str(self.retry_after)},
-            )
-        if isinstance(exc, RemoteAssignError) and exc.category == "repro":
-            self.metrics.errors.inc(kind=exc.kind)
-            return 400, {"error": exc.message, "kind": exc.kind}, {}
-        self.metrics.errors.inc(kind="internal")
-        message = (
-            exc.message if isinstance(exc, RemoteAssignError) else str(exc)
-        )
-        return 500, {"error": f"internal error: {message}"}, {}
+            extra = {"Retry-After": str(self.retry_after)}
+        return self._json_response(status, doc, endpoint="assign", extra=extra)
 
     def _json_response(
         self,
@@ -510,22 +496,19 @@ class PooledFrontend:
         endpoint: str,
         extra: dict[str, str] | None = None,
     ) -> tuple[int, bytes, str, dict[str, str]]:
-        """Serialize exactly like the single-process ``_send_json``.
+        """Serialize an error or probe document like the single-process
+        ``_send_json`` (its documents hold strings only)."""
+        return self._response(
+            status, json.dumps(doc).encode(), endpoint=endpoint, extra=extra
+        )
 
-        Same ``allow_nan=False`` guard, same degraded 500 body, same
-        request-counter bump — byte-identical response bodies are the
-        pooled topology's correctness gate.
-        """
-        try:
-            body = json.dumps(doc, allow_nan=False).encode()
-        except ValueError:
-            status = 500
-            self.metrics.errors.inc(kind="non_finite_json")
-            body = json.dumps(
-                {
-                    "error": "internal error: response contained "
-                    "non-finite numbers"
-                }
-            ).encode()
+    def _response(
+        self,
+        status: int,
+        body: bytes,
+        *,
+        endpoint: str,
+        extra: dict[str, str] | None = None,
+    ) -> tuple[int, bytes, str, dict[str, str]]:
         self.metrics.requests.inc(endpoint=endpoint, status=str(status))
         return status, body, "application/json", extra or {}

@@ -4,7 +4,8 @@ One :class:`WorkerPool` owns N worker *processes*, each running a full
 :class:`~repro.service.server.DeadlineAssignmentService` (compiled/vec
 kernel, micro-batcher, LRU + optional persistent spill tier).  The pool
 is how ``repro serve --workers N`` escapes the single-interpreter GIL
-ceiling: the front end parses and coalesces HTTP, workers burn CPU.
+ceiling: the front end speaks and coalesces HTTP, workers decode,
+compute and encode.
 
 Topology and wire protocol
 --------------------------
@@ -13,11 +14,13 @@ Each worker gets one duplex :func:`multiprocessing.Pipe`.  Messages are
 plain picklable tuples, request/reply matched by a monotonically
 increasing request id:
 
-* ``("assign", rid, doc)`` → ``("ok", rid, response_doc)`` or
-  ``("err", rid, category, kind, message)`` with ``category`` one of
-  ``overload`` / ``repro`` / ``internal`` — exactly the three branches
-  the single-process HTTP layer maps to 429 / 400 / 500, so the front
-  end can produce byte-identical error bodies.
+* ``("assign", rid, body)`` → ``("ok", rid, reply)`` or
+  ``("err", rid, status, doc, kind)`` — the raw request body in, and
+  out either the 200 reply bytes of
+  :meth:`~repro.service.server.DeadlineAssignmentService.assign_body`
+  or its failure as :func:`~repro.service.server.assign_error` maps
+  it, so the front end writes byte-identical replies without touching
+  JSON.
 * ``("metrics", rid)`` → ``("ok", rid, snapshot_doc)`` — the worker's
   :meth:`~repro.service.metrics.ServiceMetrics.snapshot`, merged into
   one exposition by :mod:`repro.service.agg`.
@@ -55,9 +58,8 @@ import threading
 import time
 from concurrent.futures import Future, wait
 from pathlib import Path
-from typing import Any
 
-from ..errors import ReproError, ServiceOverloadError
+from ..errors import ServiceOverloadError
 
 __all__ = ["RemoteAssignError", "WorkerPool", "default_workers"]
 
@@ -74,17 +76,16 @@ def default_workers() -> int:
 class RemoteAssignError(Exception):
     """An assignment failed inside a worker process.
 
-    Carries the worker's error classification so the front end can
-    reproduce the single-process HTTP mapping exactly:
-    ``overload`` → 429, ``repro`` → 400 ``{"error", "kind"}``,
-    ``internal`` → 500.
+    Carries the worker's :func:`~repro.service.server.assign_error`
+    mapping — HTTP status, reply document and ``errors`` kind — so the
+    front end answers exactly what the single-process handler would.
     """
 
-    def __init__(self, category: str, kind: str, message: str) -> None:
-        super().__init__(message)
-        self.category = category
+    def __init__(self, status: int, doc: dict[str, str], kind: str) -> None:
+        super().__init__(doc["error"])
+        self.status = status
+        self.doc = doc
         self.kind = kind
-        self.message = message
 
 
 def _pool_worker_main(conn, config: dict) -> None:
@@ -100,7 +101,7 @@ def _pool_worker_main(conn, config: dict) -> None:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .server import DeadlineAssignmentService
+    from .server import DeadlineAssignmentService, assign_error
 
     service = DeadlineAssignmentService(
         cache_size=config.get("cache_size", 1024),
@@ -124,17 +125,13 @@ def _pool_worker_main(conn, config: dict) -> None:
             except (BrokenPipeError, OSError):
                 pass  # parent is gone; nothing left to answer to
 
-    def do_assign(rid: int, doc: Any) -> None:
+    def do_assign(rid: int, body: bytes) -> None:
         try:
             if compute_delay > 0.0:
                 time.sleep(compute_delay)
-            send(("ok", rid, service.assign_dict(doc)))
-        except ServiceOverloadError as exc:
-            send(("err", rid, "overload", "ServiceOverloadError", str(exc)))
-        except ReproError as exc:
-            send(("err", rid, "repro", type(exc).__name__, str(exc)))
+            send(("ok", rid, service.assign_body(body)))
         except BaseException as exc:  # noqa: BLE001 - worker must survive
-            send(("err", rid, "internal", type(exc).__name__, str(exc)))
+            send(("err", rid, *assign_error(exc)))
 
     drain_timeout: float | None = None
     try:
@@ -218,10 +215,7 @@ class _WorkerHandle:
                 if msg[0] == "ok":
                     future.set_result(msg[2])
                 else:
-                    _, _, category, kind, message = msg
-                    future.set_exception(
-                        RemoteAssignError(category, kind, message)
-                    )
+                    future.set_exception(RemoteAssignError(*msg[2:]))
             except Exception:  # noqa: BLE001 - a timed drain beat us
                 pass
         with self.lock:
@@ -359,10 +353,12 @@ class WorkerPool:
         return future
 
     # ------------------------------------------------------------------
-    def submit(self, doc: Any) -> Future:
-        """Dispatch one parsed ``/assign`` body; returns its future.
+    def submit(self, body: bytes) -> Future:
+        """Dispatch one raw ``/assign`` body; returns its future.
 
-        Picks the least-loaded live worker.  Raises
+        The future resolves to the 200 reply bytes, or fails with
+        :class:`RemoteAssignError`.  Picks the least-loaded live
+        worker.  Raises
         :class:`~repro.errors.ServiceOverloadError` when every live
         worker already has ``max_queue`` requests in flight, and
         ``RuntimeError`` when no worker is alive at all.
@@ -381,7 +377,7 @@ class WorkerPool:
                 f"worker pool is full ({self.max_queue} requests in "
                 f"flight on each of {len(live)} workers)"
             )
-        return self._request(handle, ("assign", doc))
+        return self._request(handle, ("assign", body))
 
     def metrics_snapshots(self, timeout: float = 5.0) -> list[dict]:
         """One metrics snapshot per live worker (dead workers skipped).

@@ -25,10 +25,13 @@ Two layers:
   - ``GET /healthz``  — liveness probe,
   - ``GET /metrics``  — Prometheus text exposition.
 
-Every :class:`~repro.errors.ReproError` maps to HTTP 400 with a JSON
-``{"error": ..., "kind": ...}`` body; anything else is a 500.  The
-response's ``cached`` flag and the cache-hit counters make the caching
-behaviour observable end to end.
+Both HTTP stacks (this one and the pooled front end) answer ``POST
+/assign`` through :meth:`DeadlineAssignmentService.assign_body`, bytes
+in and bytes out, and map its failures with :func:`assign_error`:
+every :class:`~repro.errors.ReproError` is HTTP 400 with a JSON
+``{"error": ..., "kind": ...}`` body, overload a 429, anything else a
+500.  The response's ``cached`` flag and the cache-hit counters make
+the caching behaviour observable end to end.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import hashlib
 import json
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -64,8 +68,76 @@ from .metrics import ServiceMetrics
 __all__ = [
     "DeadlineAssignmentService",
     "ServiceHTTPServer",
+    "assign_error",
     "create_server",
 ]
+
+#: Largest request body either HTTP stack reads.
+MAX_BODY_BYTES = 64 << 20
+
+_NON_FINITE = "internal error: response contained non-finite numbers"
+
+
+class BadJSONError(ValueError):
+    """A request body that is not UTF-8 JSON (HTTP 400, ``bad_json``)."""
+
+
+class NonFiniteReplyError(ValueError):
+    """A reply that JSON cannot carry (HTTP 500, ``non_finite_json``)."""
+
+
+def load_body(body: bytes) -> Any:
+    """Decode one request body; an empty body is ``null``."""
+    try:
+        return json.loads(body.decode() or "null")
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise BadJSONError(f"request body is not valid JSON: {exc}") from None
+
+
+def checked_length(value: str) -> tuple[int, tuple[int, dict] | None]:
+    """Parse a ``Content-Length`` header value against :data:`MAX_BODY_BYTES`.
+
+    Returns ``(length, None)``, or ``(0, (status, document))`` for a
+    value both HTTP stacks refuse before reading any body: 400 for a
+    non-integer, 413 for a negative length or one over the limit.  The
+    stream position is then unknown, so the connection closes.
+    """
+    try:
+        length = int(value or "0")
+    except ValueError:
+        return 0, (400, {"error": "invalid Content-Length"})
+    if length < 0 or length > MAX_BODY_BYTES:
+        return 0, (413, {"error": "request body too large"})
+    return length, None
+
+
+def assign_error(exc: BaseException) -> tuple[int, dict[str, str], str]:
+    """The HTTP status, reply document and ``errors`` kind of a failed
+    ``POST /assign``.
+
+    The one mapping of both HTTP stacks: a body that is not JSON is 400
+    without a ``kind``; overload is 429 (the caller adds
+    ``Retry-After``); any other :class:`~repro.errors.ReproError` is 400
+    with its class name as ``kind``; a non-finite reply and anything
+    else are 500.
+    """
+    if isinstance(exc, BadJSONError):
+        return 400, {"error": str(exc)}, "bad_json"
+    if isinstance(exc, ReproError):
+        kind = type(exc).__name__
+        status = 429 if isinstance(exc, ServiceOverloadError) else 400
+        return status, {"error": str(exc), "kind": kind}, kind
+    if isinstance(exc, NonFiniteReplyError):
+        return 500, {"error": str(exc)}, "non_finite_json"
+    return 500, {"error": f"internal error: {exc}"}, "internal"
+
+
+def _reply_bytes(response: AssignResponse) -> bytes:
+    """The ``200`` body of *response*, as both HTTP stacks send it."""
+    try:
+        return json.dumps(response_to_dict(response), allow_nan=False).encode()
+    except ValueError:
+        raise NonFiniteReplyError(_NON_FINITE) from None
 
 
 class DeadlineAssignmentService:
@@ -74,7 +146,8 @@ class DeadlineAssignmentService:
     Parameters
     ----------
     cache_size:
-        LRU entry budget for computed assignments.
+        LRU entry budget for computed assignments; it also bounds the
+        body memo of :meth:`assign_body`.
     batch_size / batch_wait / workers:
         Micro-batcher knobs (largest batch, max coalescing wait in
         seconds, pool threads).
@@ -136,6 +209,10 @@ class DeadlineAssignmentService:
         self._registry_lock = threading.Lock()
         self._app_seq = 0
         self._app_seq_lock = threading.Lock()
+        # Body memo of assign_body: SHA-256 of the raw bytes ->
+        # [request digest, cached-reply bytes or None].
+        self._memo: OrderedDict[bytes, list] = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def assign(self, request: AssignRequest) -> AssignResponse:
@@ -152,13 +229,9 @@ class DeadlineAssignmentService:
         start = time.perf_counter()
         try:
             digest = request_digest(request)
-            assignment = self.cache.get(digest)
+            assignment = self._lookup(digest)
             cached = assignment is not None
-            if cached:
-                self.metrics.cache_hits.inc()
-                self.metrics.assignments.inc(source="cache")
-            else:
-                self.metrics.cache_misses.inc()
+            if not cached:
                 assignment = self._compute_single_flight(digest, request)
             admission = self._admit(request) if request.admit else None
         finally:
@@ -166,6 +239,71 @@ class DeadlineAssignmentService:
         return response_from_assignment(
             assignment, digest, cached=cached, admission=admission
         )
+
+    def assign_body(self, body: bytes) -> bytes:
+        """Serve one raw ``POST /assign`` body; returns the 200 reply.
+
+        The ``/assign`` entry of both HTTP stacks.  A body that parsed,
+        validated and carries no ``admit`` is remembered by the SHA-256
+        of its bytes, next to its request digest; the memo holds at most
+        ``cache_size`` bodies and drops the least recently used first.
+        When the same bytes return, the digest goes straight to one
+        cache lookup — no decoding, validation or re-digesting — and a
+        hit books exactly what :meth:`assign`'s hit books.  The encoded
+        ``cached: true`` reply is kept once the body has been answered
+        from the cache, so later repeats skip encoding as well.  The
+        memo stores no assignment: when the cache has dropped the
+        digest, the lookup counts a miss and the parsed body is
+        computed under the known digest.
+
+        Failures raise; :func:`assign_error` maps them to HTTP replies
+        (:class:`BadJSONError` for a body that is not JSON,
+        :class:`NonFiniteReplyError` for a reply JSON cannot carry).
+        """
+        key = hashlib.sha256(body).digest()
+        with self._memo_lock:
+            entry = self._memo.get(key)
+            if entry is not None:
+                self._memo.move_to_end(key)
+        if entry is None:
+            request = request_from_dict(load_body(body))
+            response = self.assign(request)
+            reply = _reply_bytes(response)
+            if not request.admit:
+                kept = reply if response.cached else None
+                with self._memo_lock:
+                    self._memo[key] = [response.digest, kept]
+                    while len(self._memo) > self.cache.maxsize:
+                        self._memo.popitem(last=False)
+            return reply
+        digest = entry[0]
+        start = time.perf_counter()
+        try:
+            assignment = self._lookup(digest)
+            cached = assignment is not None
+            if not cached:
+                assignment = self._compute_single_flight(
+                    digest, request_from_dict(load_body(body))
+                )
+        finally:
+            self.metrics.assign_latency.observe(time.perf_counter() - start)
+        if not cached:
+            return _reply_bytes(response_from_assignment(assignment, digest))
+        if entry[1] is None:
+            entry[1] = _reply_bytes(
+                response_from_assignment(assignment, digest, cached=True)
+            )
+        return entry[1]
+
+    def _lookup(self, digest: str) -> DeadlineAssignment | None:
+        """One cache lookup, booked as a hit or a miss."""
+        assignment = self.cache.get(digest)
+        if assignment is None:
+            self.metrics.cache_misses.inc()
+        else:
+            self.metrics.cache_hits.inc()
+            self.metrics.assignments.inc(source="cache")
+        return assignment
 
     def _compute_single_flight(
         self, digest: str, request: AssignRequest
@@ -211,7 +349,8 @@ class DeadlineAssignmentService:
         return assignment
 
     def assign_dict(self, data: Any) -> dict[str, Any]:
-        """Dict-in/dict-out convenience wrapper (the HTTP body path)."""
+        """Dict-in/dict-out wrapper of :meth:`assign` for embedders and
+        tests; it bypasses :meth:`assign_body`'s memo."""
         return response_to_dict(self.assign(request_from_dict(data)))
 
     def close(self, timeout: float | None = None) -> None:
@@ -365,14 +504,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self._handle_fabric("GET", None)
         elif self.path == "/metrics":
             body = self.server.service.metrics.render().encode()
-            self.server.service.metrics.requests.inc(
-                endpoint="metrics", status="200"
+            self._send(
+                200, body, "text/plain; version=0.0.4", endpoint="metrics"
             )
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
         else:
             self._send_json(
                 404,
@@ -450,20 +584,32 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         self._send_json(status, reply, endpoint="fabric")
 
+    def _read_body(self) -> bytes | None:
+        """The request body, or ``None`` once a refused ``Content-Length``
+        has been answered (that connection then closes)."""
+        length, refusal = checked_length(self.headers.get("Content-Length", ""))
+        if refusal is not None:
+            status, doc = refusal
+            self._send_json(
+                status,
+                doc,
+                endpoint="unknown",
+                extra_headers={"Connection": "close"},
+            )
+            return None
+        return self.rfile.read(length)
+
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        service = self.server.service
         if self.path.startswith("/fabric/"):
-            service = self.server.service
+            body = self._read_body()
+            if body is None:
+                return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                body = self.rfile.read(length)
-                data = json.loads(body.decode() or "null")
-            except (ValueError, UnicodeDecodeError) as exc:
+                data = load_body(body)
+            except BadJSONError as exc:
                 service.metrics.errors.inc(kind="bad_json")
-                self._send_json(
-                    400,
-                    {"error": f"request body is not valid JSON: {exc}"},
-                    endpoint="fabric",
-                )
+                self._send_json(400, {"error": str(exc)}, endpoint="fabric")
                 return
             self._handle_fabric("POST", data)
             return
@@ -477,52 +623,22 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 endpoint="unknown",
             )
             return
-        service = self.server.service
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length)
-            data = json.loads(body.decode() or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
-            service.metrics.errors.inc(kind="bad_json")
-            self._send_json(
-                400,
-                {"error": f"request body is not valid JSON: {exc}"},
-                endpoint="assign",
-            )
+        body = self._read_body()
+        if body is None:
             return
         try:
-            doc = service.assign_dict(data)
-        except ServiceOverloadError as exc:
-            # Backpressure: bounded queue full.  Shed the request with
-            # the standard retry contract instead of queueing it.
-            service.metrics.errors.inc(kind="ServiceOverloadError")
-            service.metrics.overloads.inc()
-            self._send_json(
-                429,
-                {"error": str(exc), "kind": "ServiceOverloadError"},
-                endpoint="assign",
-                extra_headers={
-                    "Retry-After": str(self.server.retry_after)
-                },
-            )
+            reply = service.assign_body(body)
+        except Exception as exc:  # noqa: BLE001 - every failure is a reply
+            status, doc, kind = assign_error(exc)
+            service.metrics.errors.inc(kind=kind)
+            extra = None
+            if status == 429:
+                # Backpressure: shed with the standard retry contract.
+                service.metrics.overloads.inc()
+                extra = {"Retry-After": str(self.server.retry_after)}
+            self._send_json(status, doc, endpoint="assign", extra_headers=extra)
             return
-        except ReproError as exc:
-            service.metrics.errors.inc(kind=type(exc).__name__)
-            self._send_json(
-                400,
-                {"error": str(exc), "kind": type(exc).__name__},
-                endpoint="assign",
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            service.metrics.errors.inc(kind="internal")
-            self._send_json(
-                500,
-                {"error": f"internal error: {exc}"},
-                endpoint="assign",
-            )
-            return
-        self._send_json(200, doc, endpoint="assign")
+        self._send(200, reply, "application/json", endpoint="assign")
 
     # ------------------------------------------------------------------
     def _send_json(
@@ -542,14 +658,26 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         except ValueError:
             status = 500
             self.server.service.metrics.errors.inc(kind="non_finite_json")
-            body = json.dumps(
-                {"error": "internal error: response contained non-finite numbers"}
-            ).encode()
+            body = json.dumps({"error": _NON_FINITE}).encode()
+        self._send(
+            status, body, "application/json", endpoint=endpoint,
+            extra_headers=extra_headers,
+        )
+
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        *,
+        endpoint: str,
+        extra_headers: dict[str, str] | None = None,
+    ) -> None:
         self.server.service.metrics.requests.inc(
             endpoint=endpoint, status=str(status)
         )
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)

@@ -8,6 +8,7 @@ or network boundary.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -20,12 +21,14 @@ from repro.experiments.runner import (
 )
 from repro.fabric import (
     compute_unit,
+    compute_units,
     extract_units,
     sweep_id,
     unit_from_dict,
     unit_is_stored,
     unit_to_dict,
 )
+from repro.kernel.compiled import CompiledWorkload
 from repro.store import TrialStore
 
 from .conftest import make_spec
@@ -108,3 +111,22 @@ class TestCompute:
                     json.dumps(value, sort_keys=True)
                 )
         store.close()
+
+    def test_compute_units_leaves_no_workload_alive(self, spec):
+        # A sweep worker computes batch after batch; once compute_units
+        # returns, none of the compiled workloads it built may linger.
+        units = extract_units(spec, trials=8, seed=5, chunk_size=2)
+        gc.collect()
+        before = [
+            o for o in gc.get_objects() if isinstance(o, CompiledWorkload)
+        ]
+        known = {id(o) for o in before}  # held above, so ids stay unique
+        records = compute_units(units, use_vec=True)
+        assert len(records) == sum(len(u.keys) for u in units)
+        gc.collect()
+        leaked = [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, CompiledWorkload) and id(o) not in known
+        ]
+        assert leaked == []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import socket
 import threading
 import time
 
@@ -86,11 +87,28 @@ class TestPooledEquivalence:
             bad_graph["graph"]["e2e_deadlines"] = []
             bodies.append(json.dumps(bad_graph).encode())
             bodies.append(b"{not json")
+            # The body memo: a body sent three times, a canonically
+            # equal body in another key order, an admission sent twice.
+            doc = json.loads(bodies[2])
+            reordered = json.dumps(dict(reversed(doc.items()))).encode()
+            admit = json.dumps(
+                chain_request(admit=True, relative_deadline=400.0)
+            ).encode()
+            bodies += [bodies[1], bodies[1], reordered, admit, admit]
+            replies = []
             for body in bodies:
                 s_status, _, s_body = post_assign(shost, sport, body)
                 p_status, _, p_body = post_assign(phost, pport, body)
                 assert p_status == s_status
                 assert p_body == s_body
+                replies.append(json.loads(s_body))
+            *_, second, third, equal, admit_1, admit_2 = replies
+            assert replies[1]["cached"] is False
+            assert second == third == {**replies[1], "cached": True}
+            assert reordered != bodies[2]
+            assert equal == {**replies[2], "cached": True}
+            app_ids = [r["admission"]["app_id"] for r in (admit_1, admit_2)]
+            assert app_ids == ["app-1", "app-2"]
         finally:
             server.shutdown()
             server.server_close()
@@ -187,6 +205,44 @@ class TestPooledEquivalence:
         finally:
             frontend.close(timeout=10.0)
 
+    def test_escaped_admit_key_is_not_coalesced(self):
+        """An ``admit`` key spelled with a ``\\u`` escape still admits.
+
+        Two concurrent identical admission bodies must each reach the
+        worker and advance its controller, however the key is spelled.
+        """
+        frontend = PooledFrontend(WorkerPool(1, compute_delay=1.0))
+        frontend.start(timeout=120.0)
+        host, port = frontend.address
+        body = json.dumps(
+            chain_request(admit=True, relative_deadline=400.0)
+        ).encode().replace(b'"admit"', b'"\\u0061dmit"')
+        assert json.loads(body)["admit"] is True
+        results: list[tuple[int, bytes]] = []
+        lock = threading.Lock()
+
+        def worker() -> None:
+            status, _, payload = post_assign(host, port, body)
+            with lock:
+                results.append((status, payload))
+
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+            assert [status for status, _ in results] == [200, 200]
+            app_ids = sorted(
+                json.loads(payload)["admission"]["app_id"]
+                for _, payload in results
+            )
+            assert app_ids == ["app-1", "app-2"]
+            assert frontend.metrics.singleflight_waits.total() == 0
+        finally:
+            frontend.close(timeout=10.0)
+
     def test_metrics_totals_aggregate_across_processes(self, pooled):
         host, port = pooled.address
         conn = http.client.HTTPConnection(host, port, timeout=30)
@@ -218,17 +274,67 @@ class TestPooledEquivalence:
         assert computed >= 1 and hits >= 1
 
 
+def raw_exchange(host: str, port: int, request: bytes) -> tuple[int, bytes]:
+    """Send *request* on a fresh socket; read the reply until the server
+    closes the connection (a hang fails on the socket timeout)."""
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), body
+
+
+class TestContentLength:
+    """Both stacks refuse a bad ``Content-Length`` alike, then close."""
+
+    def test_bad_lengths_are_refused_on_both_stacks(self, pooled):
+        server = create_server("127.0.0.1", 0)
+        single = threading.Thread(target=server.serve_forever, daemon=True)
+        single.start()
+        stacks = [server.server_address[:2], pooled.address]
+        cases = {
+            "-1": (413, {"error": "request body too large"}),
+            "1099511627776": (413, {"error": "request body too large"}),
+            "abc": (400, {"error": "invalid Content-Length"}),
+        }
+        try:
+            for path in ("/assign", "/fabric/lease"):
+                for value, (status, doc) in cases.items():
+                    request = (
+                        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                        f"Content-Length: {value}\r\n\r\n"
+                    ).encode()
+                    for host, port in stacks:
+                        got, body = raw_exchange(host, port, request)
+                        assert (got, json.loads(body)) == (status, doc)
+            for host, port in stacks:
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                try:
+                    conn.request("GET", "/healthz")
+                    assert conn.getresponse().status == 200
+                finally:
+                    conn.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            server.service.close(timeout=5.0)
+            single.join(10.0)
+
+
 class TestPooledBackpressure:
     """429 + Retry-After under saturation, without stranded futures."""
 
     def test_pool_submit_sheds_when_full(self):
         with WorkerPool(1, max_queue=1, compute_delay=0.5) as pool:
             pool.start(timeout=120.0)
-            first = pool.submit(json.loads(distinct_body(0)))
+            first = pool.submit(distinct_body(0))
             with pytest.raises(ServiceOverloadError):
                 for i in range(1, 10):
-                    pool.submit(json.loads(distinct_body(i)))
-            assert first.result(timeout=60.0)["format"].startswith("repro.")
+                    pool.submit(distinct_body(i))
+            reply = json.loads(first.result(timeout=60.0))
+            assert reply["format"].startswith("repro.")
 
     def test_http_burst_returns_429_with_retry_after(self):
         pool = WorkerPool(1, max_queue=1, compute_delay=0.5)
@@ -268,7 +374,7 @@ class TestPooledBackpressure:
     def test_drain_timeout_fails_stragglers_without_hanging(self):
         pool = WorkerPool(1, compute_delay=2.0)
         pool.start(timeout=120.0)
-        futures = [pool.submit(json.loads(distinct_body(i))) for i in range(3)]
+        futures = [pool.submit(distinct_body(i)) for i in range(3)]
         started = time.monotonic()
         pool.close(timeout=0.3)
         elapsed = time.monotonic() - started
@@ -307,7 +413,7 @@ class TestWorkerDeath:
         pool = WorkerPool(1, compute_delay=3.0)
         pool.start(timeout=120.0)
         try:
-            future = pool.submit(json.loads(distinct_body(0)))
+            future = pool.submit(distinct_body(0))
             handle = pool._handles[0]
             handle.proc.terminate()
             # The in-flight future must resolve — cancelled (it never
@@ -321,6 +427,6 @@ class TestWorkerDeath:
                 time.sleep(0.05)
             assert pool.workers == 0
             with pytest.raises(RuntimeError):
-                pool.submit(json.loads(distinct_body(1)))
+                pool.submit(distinct_body(1))
         finally:
             pool.close(timeout=5.0)

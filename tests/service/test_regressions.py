@@ -24,6 +24,7 @@ import threading
 import pytest
 
 from repro.service import DeadlineAssignmentService
+from repro.service import server as server_module
 from repro.service.api import request_from_dict
 from repro.service.metrics import Counter, LatencySummary
 
@@ -119,9 +120,14 @@ class TestAssignFailurePath:
 
 
 class TestNonFiniteResponse:
-    def test_nan_response_degrades_to_500_json(self, http_server):
+    def test_nan_response_degrades_to_500_json(self, http_server, monkeypatch):
         server, base = http_server
-        server.service.assign_dict = lambda data: {"bad": float("nan")}
+        # The /assign reply is encoded from response_to_dict's document.
+        monkeypatch.setattr(
+            server_module,
+            "response_to_dict",
+            lambda response: {"bad": float("nan")},
+        )
         status, doc = post(base, "/assign", chain_request())
         assert status == 500
         assert "non-finite" in doc["error"]

@@ -20,10 +20,14 @@ from repro.store import TrialStore
 from .conftest import chain_request
 
 
-def body_doc(i: int) -> dict:
-    return chain_request(
-        wcets=(10 + i, 20 + 2 * i, 15 + i), deadline=200.0 + i
-    )
+def body_doc(i: int) -> bytes:
+    return json.dumps(
+        chain_request(wcets=(10 + i, 20 + 2 * i, 15 + i), deadline=200.0 + i)
+    ).encode()
+
+
+def reply(future) -> dict:
+    return json.loads(future.result(timeout=60.0))
 
 
 @pytest.fixture
@@ -37,13 +41,13 @@ class TestSharedSpillAcrossWorkers:
         doc = body_doc(0)
         with WorkerPool(1, cache_dir=shared_dir) as pool_a:
             pool_a.start(timeout=120.0)
-            first = pool_a.submit(doc).result(timeout=60.0)
+            first = reply(pool_a.submit(doc))
             assert first["cached"] is False
         # A brand-new process (fresh LRU, same directory) must serve
         # the same request from the spill tier on its very first try.
         with WorkerPool(1, cache_dir=shared_dir) as pool_b:
             pool_b.start(timeout=120.0)
-            second = pool_b.submit(doc).result(timeout=60.0)
+            second = reply(pool_b.submit(doc))
             assert second["cached"] is True
             assert second["slices"] == first["slices"]
             assert second["digest"] == first["digest"]
@@ -65,7 +69,7 @@ class TestSharedSpillAcrossWorkers:
                 futures.append(pool_b.submit(body_doc(2 * i + 1)))
             digests = set()
             for future in futures:
-                result = future.result(timeout=120.0)
+                result = json.loads(future.result(timeout=120.0))
                 digests.add(result["digest"])
             assert len(digests) == 12
         report = TrialStore(shared_dir).verify()
@@ -81,9 +85,9 @@ class TestSharedSpillAcrossWorkers:
             pool_a.start(timeout=120.0)
             pool_b.start(timeout=120.0)
             doc = body_doc(99)
-            first = pool_a.submit(doc).result(timeout=60.0)
+            first = reply(pool_a.submit(doc))
             assert first["cached"] is False
-            second = pool_b.submit(doc).result(timeout=60.0)
+            second = reply(pool_b.submit(doc))
             assert second["cached"] is True
             assert json.dumps(second["slices"], sort_keys=True) == json.dumps(
                 first["slices"], sort_keys=True
