@@ -1,6 +1,6 @@
 """Load harness for the online deadline-assignment service.
 
-Drives the real HTTP stack (ThreadingHTTPServer + micro-batcher +
+Drives the real HTTP stack (ThreadingHTTPServer + single-flight +
 cache) with a pool of client threads and measures
 
 * sustained throughput (req/s) over a mixed request stream, and
@@ -72,9 +72,7 @@ def _request_bodies(count: int) -> list[bytes]:
 
 @pytest.fixture
 def live_server():
-    service = DeadlineAssignmentService(
-        cache_size=4096, batch_size=8, batch_wait=0.001, workers=4
-    )
+    service = DeadlineAssignmentService(cache_size=4096)
     server = create_server(port=0, service=service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -94,9 +94,7 @@ class Endpoint:
 
     def __enter__(self) -> "Endpoint":
         if self.kind == "single":
-            self._service = DeadlineAssignmentService(
-                cache_size=4096, batch_size=8, batch_wait=0.001, workers=4
-            )
+            self._service = DeadlineAssignmentService(cache_size=4096)
             self._server = create_server(port=0, service=self._service)
             self._thread = threading.Thread(
                 target=self._server.serve_forever, daemon=True
@@ -105,10 +103,7 @@ class Endpoint:
             self.host, self.port = self._server.server_address[:2]
         else:
             self._frontend = PooledFrontend(
-                WorkerPool(
-                    self.workers, cache_size=4096, batch_size=8,
-                    batch_wait=0.001, threads=4,
-                )
+                WorkerPool(self.workers, cache_size=4096)
             )
             self._frontend.start(timeout=180.0)
             self.host, self.port = self._frontend.address

@@ -25,94 +25,73 @@ Quick start::
     assignment = distribute_deadlines(graph, platform, metric="ADAPT-L")
     schedule = schedule_edf(graph, platform, assignment)
     assert schedule.feasible
+
+The names below load on first use (PEP 562), so a process that needs
+one subpackage — ``repro serve`` needs neither the workload generator
+nor NumPy — imports only that one.
 """
 
-from .core import (
-    METRIC_NAMES,
-    WCET_AVG,
-    WCET_MAX,
-    WCET_MIN,
-    AdaptGMetric,
-    AdaptiveParams,
-    AdaptLMetric,
-    DeadlineAssignment,
-    NormMetric,
-    PureMetric,
-    TaskWindow,
-    distribute_deadlines,
-    estimate_map,
-    get_estimator,
-    get_metric,
-)
-from .errors import ReproError
-from .graph import (
-    GraphBuilder,
-    Task,
-    TaskGraph,
-    chain_graph,
-    diamond_graph,
-    fork_join_graph,
-)
-from .sched import (
-    EdfListScheduler,
-    Schedule,
-    render_gantt,
-    schedule_edf,
-    validate_schedule,
-)
-from .system import (
-    ContentionBus,
-    Platform,
-    Processor,
-    ProcessorClass,
-    SharedBus,
-    identical_platform,
-)
-from .workload import WorkloadParams, generate_workload, paper_defaults
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    # graph
-    "Task",
-    "TaskGraph",
-    "GraphBuilder",
-    "chain_graph",
-    "fork_join_graph",
-    "diamond_graph",
-    # system
-    "Platform",
-    "Processor",
-    "ProcessorClass",
-    "SharedBus",
-    "ContentionBus",
-    "identical_platform",
-    # core
-    "distribute_deadlines",
-    "DeadlineAssignment",
-    "TaskWindow",
-    "AdaptiveParams",
-    "PureMetric",
-    "NormMetric",
-    "AdaptGMetric",
-    "AdaptLMetric",
-    "get_metric",
-    "METRIC_NAMES",
-    "WCET_AVG",
-    "WCET_MAX",
-    "WCET_MIN",
-    "get_estimator",
-    "estimate_map",
-    # sched
-    "EdfListScheduler",
-    "schedule_edf",
-    "Schedule",
-    "validate_schedule",
-    "render_gantt",
-    # workload
-    "WorkloadParams",
-    "generate_workload",
-    "paper_defaults",
-]
+#: Each public name, under the submodule that defines it.
+_EXPORTS = {
+    ".errors": ("ReproError",),
+    ".graph": (
+        "Task",
+        "TaskGraph",
+        "GraphBuilder",
+        "chain_graph",
+        "fork_join_graph",
+        "diamond_graph",
+    ),
+    ".system": (
+        "Platform",
+        "Processor",
+        "ProcessorClass",
+        "SharedBus",
+        "ContentionBus",
+        "identical_platform",
+    ),
+    ".core": (
+        "distribute_deadlines",
+        "DeadlineAssignment",
+        "TaskWindow",
+        "AdaptiveParams",
+        "PureMetric",
+        "NormMetric",
+        "AdaptGMetric",
+        "AdaptLMetric",
+        "get_metric",
+        "METRIC_NAMES",
+        "WCET_AVG",
+        "WCET_MAX",
+        "WCET_MIN",
+        "get_estimator",
+        "estimate_map",
+    ),
+    ".sched": (
+        "EdfListScheduler",
+        "schedule_edf",
+        "Schedule",
+        "validate_schedule",
+        "render_gantt",
+    ),
+    ".workload": ("WorkloadParams", "generate_workload", "paper_defaults"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_ORIGIN]
+
+
+def __getattr__(name: str):
+    try:
+        module = _ORIGIN[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value

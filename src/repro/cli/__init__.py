@@ -4,8 +4,6 @@
 from .main import build_parser, build_serve_parser, figures_main, main, serve_main
 from .store_tool import build_store_parser, store_main
 from .sweep_tool import build_sweep_parser, sweep_main
-from .workload_tool import build_parser as build_workload_parser
-from .workload_tool import main as workload_main
 
 __all__ = [
     "main",
@@ -20,3 +18,14 @@ __all__ = [
     "workload_main",
     "build_workload_parser",
 ]
+
+#: Names loaded on first use, because the workload tool imports NumPy.
+_WORKLOAD_TOOL = {"workload_main": "main", "build_workload_parser": "build_parser"}
+
+
+def __getattr__(name: str):
+    if name not in _WORKLOAD_TOOL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import workload_tool
+
+    return getattr(workload_tool, _WORKLOAD_TOOL[name])

@@ -27,14 +27,6 @@ import sys
 from pathlib import Path
 
 from ..errors import ReproError
-from ..experiments.figures import FIGURES, get_figure_spec
-from ..experiments.report import (
-    render_report,
-    result_markdown,
-    save_csv,
-    save_json,
-)
-from ..experiments.runner import iter_experiments
 
 __all__ = [
     "main",
@@ -53,6 +45,10 @@ SUBCOMMANDS = ("figures", "experiment", "serve", "sweep", "store")
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``figures`` subcommand parser (also the historical CLI)."""
+    # Imported here, not at module level, so that ``repro serve``
+    # processes never load the experiment harness (or NumPy).
+    from ..experiments.figures import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="repro-figures",
         description=(
@@ -177,18 +173,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="persist computed assignments to a result store in DIR; a "
         "restarted service pointed at the same directory starts warm",
     )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        help="largest micro-batch handed to the worker pool (default 8)",
-    )
-    parser.add_argument(
-        "--batch-wait",
-        type=float,
-        default=0.002,
-        help="max seconds a batch waits for more requests (default 0.002)",
-    )
     # Imported lazily everywhere else, but the parser default must be
     # computed at build time so --help shows the real value.
     from ..service.pool import default_workers
@@ -199,12 +183,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=default_workers(),
         help="worker processes serving assignments (default "
         "min(cpu_count, 4)); 1 runs the in-process single-server path",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=4,
-        help="micro-batcher threads per worker process (default 4)",
     )
     parser.add_argument(
         "--max-queue",
@@ -241,19 +219,21 @@ def serve_main(argv: list[str] | None = None) -> int:
     args = build_serve_parser().parse_args(argv)
     from ..service import DeadlineAssignmentService, create_server
 
-    if args.workers < 1:
-        print(
-            f"error: --workers must be at least 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
+    for flag, value, least in (
+        ("--workers", args.workers, 1),
+        ("--max-queue", args.max_queue, 0),
+        ("--retry-after", args.retry_after, 0),
+    ):
+        if value < least:
+            print(
+                f"error: {flag} must be at least {least}, got {value}",
+                file=sys.stderr,
+            )
+            return 2
     max_queue = args.max_queue if args.max_queue > 0 else None
     try:
         service = DeadlineAssignmentService(
             cache_size=args.cache_size,
-            batch_size=args.batch_size,
-            batch_wait=args.batch_wait,
-            workers=args.threads,
             max_queue=max_queue,
             cache_dir=args.cache_dir,
         )
@@ -298,9 +278,6 @@ def _serve_pooled(args, max_queue: int | None) -> int:
     pool = WorkerPool(
         args.workers,
         cache_size=args.cache_size,
-        batch_size=args.batch_size,
-        batch_wait=args.batch_wait,
-        threads=args.threads,
         max_queue=max_queue,
         cache_dir=args.cache_dir,
     )
@@ -371,6 +348,15 @@ def _cache_summary(stats) -> str:
 
 def figures_main(argv: list[str] | None = None) -> int:
     """Entry point of the ``figures`` subcommand."""
+    from ..experiments.figures import FIGURES, get_figure_spec
+    from ..experiments.report import (
+        render_report,
+        result_markdown,
+        save_csv,
+        save_json,
+    )
+    from ..experiments.runner import iter_experiments
+
     args = build_parser().parse_args(argv)
 
     if args.list:

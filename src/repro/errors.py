@@ -85,13 +85,15 @@ class SerializationError(ReproError):
 
 
 class ServiceOverloadError(ReproError):
-    """The service's bounded work queue rejected a submission.
+    """The service's work bound rejected a submission.
 
-    Raised by :class:`repro.service.MicroBatcher` when its in-flight
-    item budget (``max_queue``) is exhausted, and surfaced by the HTTP
-    layer as ``429 Too Many Requests`` with a ``Retry-After`` header —
-    the backpressure contract: shed load at the door instead of
-    building an unbounded backlog.
+    Raised by :class:`repro.service.DeadlineAssignmentService` when
+    ``max_queue`` computations are already running, and by
+    :class:`repro.service.WorkerPool` when every worker has
+    ``max_queue`` requests in flight; surfaced by the HTTP layer as
+    ``429 Too Many Requests`` with a ``Retry-After`` header — the
+    backpressure contract: shed load at the door instead of building an
+    unbounded backlog.
     """
 
 

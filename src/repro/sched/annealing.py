@@ -25,7 +25,6 @@ import math
 from ..core.assignment import DeadlineAssignment
 from ..errors import SchedulingError
 from ..graph.taskgraph import TaskGraph
-from ..rng import make_rng
 from ..system.interconnect import CommunicationModel
 from ..system.platform import Platform
 from .edf import EdfListScheduler
@@ -90,6 +89,8 @@ class SimulatedAnnealingScheduler:
         comm: CommunicationModel | None = None,
     ) -> Schedule:
         """Return the best schedule found (feasible iff tardiness 0)."""
+        from ..rng import make_rng  # NumPy loads only when annealing runs
+
         rng = make_rng(self.seed)
         lister = EdfListScheduler(continue_on_miss=True)
         task_ids = graph.task_ids()

@@ -14,8 +14,8 @@ through the body memo of ``DeadlineAssignmentService.assign_body``) →
 :class:`AssignmentCache` (LRU; repeated workloads skip the slicing hot
 path) → single-flight
 coalescing (concurrent identical misses share one computation) →
-:class:`MicroBatcher` (distinct misses coalesce into worker-pool
-batches, bounded by ``max_queue`` — overflow is shed as
+``distribute_deadlines`` on the calling thread (``max_queue`` bounds the
+computations running at once — overflow is shed as
 :class:`~repro.errors.ServiceOverloadError` / HTTP 429) →
 ``response_to_dict``.  :class:`ServiceMetrics` counts every step and
 renders Prometheus text for ``GET /metrics``.
@@ -42,7 +42,6 @@ from .api import (
     response_to_dict,
 )
 from ..errors import ServiceOverloadError
-from .batch import MicroBatcher
 from .cache import AssignmentCache, CacheStats, StoreSpill
 from .agg import aggregate_metrics
 from .frontend import PooledFrontend
@@ -61,7 +60,6 @@ __all__ = [
     "AssignmentCache",
     "CacheStats",
     "StoreSpill",
-    "MicroBatcher",
     "ServiceOverloadError",
     "Counter",
     "LatencySummary",

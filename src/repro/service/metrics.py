@@ -224,12 +224,6 @@ class ServiceMetrics:
             "repro_admissions_total",
             "Admission verdicts issued, by outcome (admitted|rejected).",
         )
-        self.batches = Counter(
-            "repro_batches_total", "Micro-batches dispatched to the pool."
-        )
-        self.batched_items = Counter(
-            "repro_batched_items_total", "Requests carried inside batches."
-        )
         self.errors = Counter(
             "repro_request_errors_total",
             "Requests rejected or failed, by kind.",
@@ -277,8 +271,6 @@ class ServiceMetrics:
         "cache_hits",
         "cache_misses",
         "admissions",
-        "batches",
-        "batched_items",
         "errors",
         "singleflight_waits",
         "overloads",
@@ -438,11 +430,6 @@ class ServiceMetrics:
                 ]
             )
         return lines
-
-    def observe_batch(self, size: int) -> None:
-        """Micro-batcher dispatch hook."""
-        self.batches.inc()
-        self.batched_items.inc(size)
 
     def cache_hit_rate(self) -> float:
         hits = self.cache_hits.total()

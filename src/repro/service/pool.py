@@ -1,11 +1,11 @@
 """Pre-forked assignment worker pool behind the asyncio front end.
 
 One :class:`WorkerPool` owns N worker *processes*, each running a full
-:class:`~repro.service.server.DeadlineAssignmentService` (compiled/vec
-kernel, micro-batcher, LRU + optional persistent spill tier).  The pool
-is how ``repro serve --workers N`` escapes the single-interpreter GIL
-ceiling: the front end speaks and coalesces HTTP, workers decode,
-compute and encode.
+:class:`~repro.service.server.DeadlineAssignmentService` (LRU +
+optional persistent spill tier) on a few request threads, each of which
+decodes, computes and encodes the body it was handed.  The pool is how
+``repro serve --workers N`` escapes the single-interpreter GIL ceiling:
+the front end speaks and coalesces HTTP, workers do the rest.
 
 Topology and wire protocol
 --------------------------
@@ -26,7 +26,8 @@ increasing request id:
   one exposition by :mod:`repro.service.agg`.
 * ``("ping", rid)`` → ``("ok", rid, {"pid": ...})`` — the readiness
   probe :meth:`WorkerPool.start` blocks on.
-* ``("stop", timeout)`` — bounded drain, then the worker exits.
+* ``("stop", timeout)`` — the worker waits, up to *timeout* seconds,
+  for every request it has received, then exits.
 
 Workers are started with the ``spawn`` context (same choice as the
 sweep fabric): no inherited locks mid-acquire, no shared mutable
@@ -56,10 +57,10 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, wait
+from concurrent.futures import Future, InvalidStateError, wait
 from pathlib import Path
 
-from ..errors import ServiceOverloadError
+from ..errors import ServiceOverloadError, ValidationError
 
 __all__ = ["RemoteAssignError", "WorkerPool", "default_workers"]
 
@@ -88,16 +89,20 @@ class RemoteAssignError(Exception):
         self.kind = kind
 
 
+#: Request threads per worker process.
+_REQUEST_THREADS = 4
+
+
 def _pool_worker_main(conn, config: dict) -> None:
     """Worker process entry point: serve pipe requests until ``stop``.
 
-    Runs one :class:`DeadlineAssignmentService` and a small thread pool
-    so concurrent ``assign`` dispatches can coalesce in the service's
-    micro-batcher / single-flight layers exactly as they would in the
-    single-process server.  Replies are serialized by a send lock (the
-    pipe is the only shared output).  Exits via ``os._exit`` after the
-    bounded drain so a straggler compute thread can never wedge
-    shutdown.
+    Runs one :class:`DeadlineAssignmentService` and a small thread pool,
+    so concurrent ``assign`` dispatches coalesce in the service's
+    single-flight layer exactly as they would in the single-process
+    server.  Replies are serialized by a send lock (the pipe is the only
+    shared output).  On ``stop`` the worker waits, bounded by the drain
+    timeout, for every request it has received, then exits via
+    ``os._exit`` so a straggler thread can never wedge shutdown.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -105,18 +110,21 @@ def _pool_worker_main(conn, config: dict) -> None:
 
     service = DeadlineAssignmentService(
         cache_size=config.get("cache_size", 1024),
-        batch_size=config.get("batch_size", 8),
-        batch_wait=config.get("batch_wait", 0.002),
-        workers=config.get("threads", 4),
         max_queue=config.get("max_queue"),
         cache_dir=config.get("cache_dir"),
     )
     compute_delay = float(config.get("compute_delay", 0.0) or 0.0)
     send_lock = threading.Lock()
     pool = ThreadPoolExecutor(
-        max_workers=max(4, config.get("threads", 4)),
-        thread_name_prefix="repro-pool-worker",
+        max_workers=_REQUEST_THREADS, thread_name_prefix="repro-pool-worker"
     )
+    # Futures of received requests not yet answered: the drain's scope.
+    received: set[Future] = set()
+    received_lock = threading.Lock()
+
+    def answered(future: Future) -> None:
+        with received_lock:
+            received.discard(future)
 
     def send(reply: tuple) -> None:
         with send_lock:
@@ -142,7 +150,10 @@ def _pool_worker_main(conn, config: dict) -> None:
                 break  # parent died; drain and exit
             op = msg[0]
             if op == "assign":
-                pool.submit(do_assign, msg[1], msg[2])
+                future = pool.submit(do_assign, msg[1], msg[2])
+                with received_lock:
+                    received.add(future)
+                future.add_done_callback(answered)
             elif op == "metrics":
                 send(("ok", msg[1], service.metrics.snapshot()))
             elif op == "ping":
@@ -151,9 +162,13 @@ def _pool_worker_main(conn, config: dict) -> None:
                 drain_timeout = msg[1] if len(msg) > 1 else None
                 break
     finally:
+        with received_lock:
+            unanswered = list(received)
+        wait(unanswered, timeout=drain_timeout)
         pool.shutdown(wait=False)
         try:
-            service.close(timeout=drain_timeout)
+            # Its computations ran inside the requests waited for above.
+            service.close(timeout=0.0)
         except Exception:  # noqa: BLE001 - exiting anyway
             pass
         try:
@@ -223,8 +238,9 @@ class _WorkerHandle:
             stranded = list(self.pending.values())
             self.pending.clear()
         for future in stranded:
-            if future.cancel() or future.done():
-                continue
+            # Failed, not cancelled: ``concurrent.futures.wait`` never
+            # sees a plain ``cancel()``, so a drain would sit out its
+            # whole timeout on a request that is already lost.
             try:
                 future.set_exception(
                     RuntimeError(
@@ -232,8 +248,8 @@ class _WorkerHandle:
                         "with requests in flight"
                     )
                 )
-            except Exception:  # noqa: BLE001 - racing resolution
-                pass
+            except InvalidStateError:
+                pass  # a timed drain resolved it first
 
 
 class WorkerPool:
@@ -245,7 +261,7 @@ class WorkerPool:
     workers:
         Number of worker processes (≥ 1).
     max_queue:
-        Per-worker bound on dispatched-but-unanswered requests;
+        Per-worker bound on dispatched-but-unanswered requests (≥ 1);
         ``None`` means unbounded.  Overflow raises
         :class:`~repro.errors.ServiceOverloadError` from
         :meth:`submit`.
@@ -259,22 +275,20 @@ class WorkerPool:
         workers: int,
         *,
         cache_size: int = 1024,
-        batch_size: int = 8,
-        batch_wait: float = 0.002,
-        threads: int = 4,
         max_queue: int | None = None,
         cache_dir: str | Path | None = None,
         compute_delay: float = 0.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
+        if max_queue is not None and max_queue < 1:
+            raise ValidationError(
+                f"max_queue must be at least 1 (or None), got {max_queue}"
+            )
         self.max_queue = max_queue
         self._config = {
             "cache_size": cache_size,
-            "batch_size": batch_size,
-            "batch_wait": batch_wait,
-            "threads": threads,
-            # Worker-internal queues stay unbounded: the pool enforces
+            # The worker-internal bound stays off: the pool enforces
             # the bound at dispatch, before a request crosses the pipe,
             # so a shed request costs no worker work at all.
             "max_queue": None,
@@ -404,10 +418,11 @@ class WorkerPool:
     def close(self, timeout: float | None = None) -> None:
         """Stop every worker; bounded when *timeout* is given.
 
-        Sends ``stop`` (workers drain their in-flight work, bounded by
-        the same timeout), fails whatever futures remain after the
-        wait, then joins — escalating to ``terminate``/``kill`` so the
-        call returns even if a worker wedged.  Idempotent.
+        Sends ``stop`` (each worker waits for the requests it has
+        received, bounded by the same timeout), fails whatever futures
+        remain after the wait, then joins — escalating to
+        ``terminate``/``kill`` so the call returns even if a worker
+        wedged.  Idempotent.
         """
         if self._closed:
             return

@@ -3,8 +3,8 @@
 Two layers:
 
 * :class:`DeadlineAssignmentService` — the embeddable engine: canonical
-  digest → LRU cache → single-flight coalescing → micro-batched
-  slicing, plus an optional stateful admission path that reuses
+  digest → LRU cache → single-flight coalescing → slicing on the
+  calling thread, plus an optional stateful admission path that reuses
   :class:`repro.online.AdmissionController` (one controller per
   distinct platform, keyed by platform digest, so successive admitted
   applications accumulate residual-capacity commitments exactly as in
@@ -16,9 +16,9 @@ Two layers:
   show up as ``repro_singleflight_waits_total``); admission is
   serialized per platform digest only, so distinct platforms admit
   concurrently while each controller's state stays single-writer; and
-  the micro-batcher's ``max_queue`` bound sheds overload as
-  :class:`~repro.errors.ServiceOverloadError`, which the HTTP layer
-  maps to ``429`` with a ``Retry-After`` header.
+  ``max_queue`` bounds the computations running at once, shedding the
+  next distinct miss as :class:`~repro.errors.ServiceOverloadError`,
+  which the HTTP layer maps to ``429`` with a ``Retry-After`` header.
 * :func:`create_server` — a :class:`ThreadingHTTPServer` exposing
 
   - ``POST /assign``  — JSON request in, per-task slices (+ verdict) out,
@@ -48,7 +48,7 @@ from typing import Any
 
 from ..core.assignment import DeadlineAssignment
 from ..core.slicing import distribute_deadlines
-from ..errors import ReproError, ServiceOverloadError
+from ..errors import ReproError, ServiceOverloadError, ValidationError
 from ..online.admission import AdmissionController, AdmissionDecision
 from ..store import TrialStore
 from ..system.platform import Platform
@@ -61,7 +61,6 @@ from .api import (
     response_from_assignment,
     response_to_dict,
 )
-from .batch import MicroBatcher
 from .cache import AssignmentCache, StoreSpill
 from .metrics import ServiceMetrics
 
@@ -141,20 +140,21 @@ def _reply_bytes(response: AssignResponse) -> bytes:
 
 
 class DeadlineAssignmentService:
-    """Cache-fronted, micro-batched deadline-assignment engine.
+    """Cache-fronted deadline-assignment engine.
+
+    A cache miss is computed on the thread that asked for it; the
+    service starts no threads of its own.
 
     Parameters
     ----------
     cache_size:
         LRU entry budget for computed assignments; it also bounds the
         body memo of :meth:`assign_body`.
-    batch_size / batch_wait / workers:
-        Micro-batcher knobs (largest batch, max coalescing wait in
-        seconds, pool threads).
     max_queue:
-        Bound on in-flight micro-batcher items; overflow raises
-        :class:`~repro.errors.ServiceOverloadError` (the backpressure
-        path).  ``None`` (default) keeps the queue unbounded.
+        Bound on computations running at once; the next distinct miss
+        raises :class:`~repro.errors.ServiceOverloadError` (the
+        backpressure path).  Cache hits and single-flight followers
+        are never shed.  ``None`` (default) means unbounded.
     cache_dir:
         Optional directory for a persistent :class:`~repro.store.TrialStore`
         backing the LRU as a durable spill tier: computed assignments
@@ -169,12 +169,14 @@ class DeadlineAssignmentService:
         self,
         *,
         cache_size: int = 1024,
-        batch_size: int = 8,
-        batch_wait: float = 0.002,
-        workers: int = 4,
         max_queue: int | None = None,
         cache_dir: str | Path | None = None,
     ) -> None:
+        if max_queue is not None and max_queue < 1:
+            raise ValidationError(
+                f"max_queue must be at least 1 (or None), got {max_queue}"
+            )
+        self.max_queue = max_queue
         self.metrics = ServiceMetrics()
         self.store: TrialStore | None = None
         spill: StoreSpill[DeadlineAssignment] | None = None
@@ -189,19 +191,13 @@ class DeadlineAssignmentService:
         self.cache: AssignmentCache[DeadlineAssignment] = AssignmentCache(
             cache_size, spill=spill
         )
-        self.batcher: MicroBatcher[AssignRequest, DeadlineAssignment] = (
-            MicroBatcher(
-                self._compute,
-                max_batch=batch_size,
-                max_wait=batch_wait,
-                workers=workers,
-                max_queue=max_queue,
-                on_batch=self.metrics.observe_batch,
-            )
-        )
-        # Single-flight: digest -> future of the in-flight computation.
+        # Single-flight: digest -> future of the running computation, so
+        # its size is the number of computations running.  The condition
+        # guards it and the closed flag, and wakes close() as each
+        # computation retires.
         self._inflight: dict[str, Future[DeadlineAssignment]] = {}
-        self._inflight_lock = threading.Lock()
+        self._inflight_lock = threading.Condition()
+        self._closed = False
         # Admission sharding: the registry lock only guards the two
         # dicts; each platform's controller serializes on its own lock.
         self._controllers: dict[str, AdmissionController] = {}
@@ -308,7 +304,7 @@ class DeadlineAssignmentService:
     def _compute_single_flight(
         self, digest: str, request: AssignRequest
     ) -> DeadlineAssignment:
-        """Compute *request*, coalescing concurrent identical misses.
+        """Compute *request* on this thread, coalescing identical misses.
 
         Sound because the computation is a pure function of the digest
         (the cache's own soundness argument): whoever installs the
@@ -317,13 +313,32 @@ class DeadlineAssignmentService:
         shares the result — success and failure alike.  The leader
         publishes to the cache *before* retiring the future, so a miss
         that finds neither a cache entry nor an in-flight future can
-        only recompute something the cache has since evicted.
+        only recompute something the cache has since evicted.  A
+        would-be leader is refused with ``RuntimeError`` after
+        :meth:`close` and with
+        :class:`~repro.errors.ServiceOverloadError` when ``max_queue``
+        computations are running; followers are never refused.
         """
         flight: Future[DeadlineAssignment] = Future()
+        refusal: Exception | None = None
         with self._inflight_lock:
             leader = self._inflight.get(digest)
             if leader is None:
-                self._inflight[digest] = flight
+                if self._closed:
+                    refusal = RuntimeError("assignment service is closed")
+                elif (
+                    self.max_queue is not None
+                    and len(self._inflight) >= self.max_queue
+                ):
+                    refusal = ServiceOverloadError(
+                        f"assignment service is full ({self.max_queue} "
+                        "computations running)"
+                    )
+                else:
+                    self._inflight[digest] = flight
+        if refusal is not None:
+            self.metrics.assignments.inc(source="failed")
+            raise refusal
         if leader is not None:
             self.metrics.singleflight_waits.inc()
             try:
@@ -334,19 +349,23 @@ class DeadlineAssignmentService:
             self.metrics.assignments.inc(source="coalesced")
             return assignment
         try:
-            assignment = self.batcher.submit(request).result()
+            assignment = self._compute(request)
+            self.cache.put(digest, assignment)
         except BaseException as exc:
             self.metrics.assignments.inc(source="failed")
-            with self._inflight_lock:
-                self._inflight.pop(digest, None)
+            self._retire(digest)
             flight.set_exception(exc)
             raise
-        self.cache.put(digest, assignment)
         self.metrics.assignments.inc(source="computed")
-        with self._inflight_lock:
-            self._inflight.pop(digest, None)
+        self._retire(digest)
         flight.set_result(assignment)
         return assignment
+
+    def _retire(self, digest: str) -> None:
+        """Drop *digest*'s in-flight entry and wake a waiting drain."""
+        with self._inflight_lock:
+            del self._inflight[digest]
+            self._inflight_lock.notify_all()
 
     def assign_dict(self, data: Any) -> dict[str, Any]:
         """Dict-in/dict-out wrapper of :meth:`assign` for embedders and
@@ -354,16 +373,16 @@ class DeadlineAssignmentService:
         return response_to_dict(self.assign(request_from_dict(data)))
 
     def close(self, timeout: float | None = None) -> None:
-        """Stop the batcher; in-flight requests complete first.
+        """Refuse new computations and wait for the running ones.
 
-        With a *timeout* the drain is bounded: outstanding computations
-        get up to that many seconds, then their futures are failed so
-        no caller is left hanging (see :meth:`MicroBatcher.close`).
-        The persistent store (if any) closes after the drain, so every
-        completed computation's write-through lands before its lock is
-        released.
+        Without a *timeout* the wait is unbounded; with one it lasts at
+        most that many seconds.  Cache hits are still answered.  The
+        persistent store (if any) closes after the wait, so every
+        completed computation's write-through lands first.  Idempotent.
         """
-        self.batcher.close(timeout=timeout)
+        with self._inflight_lock:
+            self._closed = True
+            self._inflight_lock.wait_for(lambda: not self._inflight, timeout)
         if self.store is not None:
             self.store.close()
 
@@ -704,8 +723,8 @@ def create_server(
     status routes for remote sweep workers — see :mod:`repro.fabric`).
     The caller owns the lifecycle: ``serve_forever()`` to run,
     ``shutdown()``/``server_close()`` to stop, and
-    ``server.service.close()`` to drain the batcher (pass a timeout
-    for a bounded drain).
+    ``server.service.close()`` to wait for running computations (pass
+    a timeout for a bounded drain).
     """
     if service is None:
         service = DeadlineAssignmentService()

@@ -8,7 +8,10 @@ These pin the service's parallel-load contracts:
   never blocks another platform's admissions;
 * generated admission app-ids never collide with caller-supplied ones,
   and the sequence advances only when the service generates;
-* a full bounded queue sheds requests as HTTP 429 + ``Retry-After``;
+* a miss computes on the calling thread; the service starts no thread;
+* ``max_queue`` bounds running computations and sheds the next distinct
+  miss as HTTP 429 + ``Retry-After``; hits and followers are never shed;
+* ``close()`` refuses new computations and waits for running ones;
 * an HTTP/1.1 404 on a keep-alive connection drains the request body,
   so the next pipelined request still parses (desync regression).
 """
@@ -20,8 +23,9 @@ import time
 
 import pytest
 
-from repro.errors import ServiceOverloadError
+from repro.errors import ServiceOverloadError, ValidationError
 from repro.service import DeadlineAssignmentService, create_server
+from repro.service.server import assign_error
 from repro.system import identical_platform
 
 from .conftest import chain_request
@@ -54,7 +58,7 @@ def _wait_until(predicate, timeout=5.0) -> bool:
 
 class TestSingleFlight:
     def test_n_identical_requests_one_computation(self):
-        svc = GatedService(batch_wait=0.0, workers=4)
+        svc = GatedService()
         try:
             results, errors = [], []
 
@@ -89,14 +93,14 @@ class TestSingleFlight:
             svc.close()
 
     def test_leader_failure_propagates_to_followers(self):
-        svc = GatedService(batch_wait=0.0, workers=2)
+        svc = GatedService()
 
         def boom(request):
             svc.compute_started.set()
             assert svc.gate.wait(10)
             raise RuntimeError("computation exploded")
 
-        svc.batcher._handler = boom  # fail inside the worker itself
+        svc._compute = boom
         try:
             errors = []
 
@@ -127,7 +131,7 @@ class TestSingleFlight:
 
 class TestShardedAdmission:
     def test_platforms_admit_concurrently(self):
-        svc = DeadlineAssignmentService(batch_wait=0.0)
+        svc = DeadlineAssignmentService()
         try:
             # First admissions create the two controllers.
             svc.assign_dict(
@@ -182,7 +186,7 @@ class TestShardedAdmission:
             svc.close()
 
     def test_same_platform_admissions_stay_serialized(self):
-        svc = DeadlineAssignmentService(batch_wait=0.0)
+        svc = DeadlineAssignmentService()
         try:
             docs = []
 
@@ -207,7 +211,7 @@ class TestShardedAdmission:
 
 class TestAppIdGeneration:
     def test_generated_ids_skip_caller_supplied_names(self):
-        with DeadlineAssignmentService(batch_wait=0.0) as svc:
+        with DeadlineAssignmentService() as svc:
             doc1 = svc.assign_dict(
                 chain_request(
                     admit=True, relative_deadline=500.0, app_id="app-1"
@@ -222,7 +226,7 @@ class TestAppIdGeneration:
             assert doc2["admission"]["app_id"] == "app-2"
 
     def test_sequence_only_advances_when_generating(self):
-        with DeadlineAssignmentService(batch_wait=0.0) as svc:
+        with DeadlineAssignmentService() as svc:
             svc.assign_dict(
                 chain_request(
                     admit=True, relative_deadline=500.0, app_id="zebra"
@@ -238,9 +242,7 @@ class TestAppIdGeneration:
 class TestBackpressureHTTP:
     @pytest.fixture
     def gated_server(self):
-        service = GatedService(
-            batch_wait=0.0, workers=1, batch_size=1, max_queue=1
-        )
+        service = GatedService(max_queue=1)
         server = create_server(port=0, service=service, retry_after=7)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -308,9 +310,7 @@ class TestBackpressureHTTP:
             conn.close()
 
     def test_engine_raises_typed_overload(self):
-        svc = GatedService(
-            batch_wait=0.0, workers=1, batch_size=1, max_queue=1
-        )
+        svc = GatedService(max_queue=1)
         try:
             leader_error = []
 
@@ -331,6 +331,139 @@ class TestBackpressureHTTP:
         finally:
             svc.gate.set()
             svc.close()
+
+
+class TestCallingThread:
+    def test_miss_computes_on_the_calling_thread(self):
+        computed_on: list[int] = []
+        with DeadlineAssignmentService() as svc:
+            compute = svc._compute
+
+            def recording(request):
+                computed_on.append(threading.get_ident())
+                return compute(request)
+
+            svc._compute = recording
+            svc.assign_body(json.dumps(chain_request()).encode())
+        assert computed_on == [threading.get_ident()]
+
+    def test_building_a_service_starts_no_thread(self):
+        # A set difference, not active_count(): threads other tests left
+        # behind may exit meanwhile.
+        before = set(threading.enumerate())
+        svc = DeadlineAssignmentService(max_queue=4)
+        try:
+            assert set(threading.enumerate()) - before == set()
+        finally:
+            svc.close()
+
+
+def _assignments_balance(svc) -> bool:
+    metrics = svc.metrics
+    return (
+        metrics.assignments.total()
+        == metrics.cache_hits.total() + metrics.cache_misses.total()
+    )
+
+
+class TestComputeBound:
+    def test_max_queue_rejects_overflow_then_recovers(self):
+        svc = GatedService(max_queue=1)
+        try:
+            svc.gate.set()
+            svc.assign_dict(chain_request(deadline=111.0))  # cached below
+            svc.gate.clear()
+            svc.compute_started.clear()
+            leader = threading.Thread(
+                target=svc.assign_dict, args=(chain_request(),)
+            )
+            leader.start()
+            assert svc.compute_started.wait(5)
+            with pytest.raises(ServiceOverloadError):
+                svc.assign_dict(chain_request(deadline=321.0))
+            # A hit and a follower of the running computation are not shed.
+            hit = svc.assign_dict(chain_request(deadline=111.0))
+            assert hit["cached"] is True
+            follower = threading.Thread(
+                target=svc.assign_dict, args=(chain_request(),)
+            )
+            follower.start()
+            assert _wait_until(
+                lambda: svc.metrics.singleflight_waits.total() == 1
+            )
+            svc.gate.set()
+            leader.join(10)
+            follower.join(10)
+            assert not leader.is_alive() and not follower.is_alive()
+            # Capacity freed: the shed workload now computes.
+            assert svc.assign_dict(chain_request(deadline=321.0))["cached"] is False
+            assignments = svc.metrics.assignments
+            assert assignments.value(source="computed") == 3.0
+            assert assignments.value(source="failed") == 1.0
+            assert assignments.value(source="coalesced") == 1.0
+            assert _assignments_balance(svc)
+        finally:
+            svc.gate.set()
+            svc.close()
+
+    @pytest.mark.parametrize("max_queue", [0, -1])
+    def test_max_queue_below_one_is_rejected(self, max_queue):
+        with pytest.raises(ValidationError, match="max_queue"):
+            DeadlineAssignmentService(max_queue=max_queue)
+
+
+class TestClose:
+    def test_close_waits_for_running_computation(self):
+        svc = GatedService()
+        answers: list[dict] = []
+        leader = threading.Thread(
+            target=lambda: answers.append(svc.assign_dict(chain_request()))
+        )
+        leader.start()
+        assert svc.compute_started.wait(5)
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        closer.join(0.2)
+        assert closer.is_alive(), "close() returned mid-computation"
+        svc.gate.set()
+        closer.join(10)
+        leader.join(10)
+        assert not closer.is_alive() and not leader.is_alive()
+        assert answers and answers[0]["cached"] is False
+
+    def test_close_timeout_bounds_the_wait(self):
+        svc = GatedService()
+        leader = threading.Thread(
+            target=svc.assign_dict, args=(chain_request(),)
+        )
+        leader.start()
+        try:
+            assert svc.compute_started.wait(5)
+            started = time.monotonic()
+            svc.close(timeout=0.3)
+            assert time.monotonic() - started < 1.0
+        finally:
+            svc.gate.set()
+            leader.join(10)
+        assert not leader.is_alive()
+
+    def test_computation_after_close_raises(self):
+        svc = DeadlineAssignmentService()
+        svc.assign_dict(chain_request())
+        svc.close()
+        with pytest.raises(RuntimeError) as refused:
+            svc.assign_dict(chain_request(deadline=123.0))
+        assert assign_error(refused.value)[0] == 500
+        # Hits are still answered after close.
+        assert svc.assign_dict(chain_request())["cached"] is True
+        assert svc.metrics.assignments.value(source="failed") == 1.0
+        assert _assignments_balance(svc)
+
+    def test_close_is_idempotent(self):
+        svc = DeadlineAssignmentService()
+        svc.close()
+        svc.close()
+        svc.close(timeout=0.1)
 
 
 class TestKeepAlive:

@@ -66,7 +66,7 @@ def rise(before: dict, after: dict) -> dict:
 
 class TestMemoHit:
     def test_repeats_book_exactly_a_cache_hit(self, parses):
-        with DeadlineAssignmentService(batch_wait=0.001) as service:
+        with DeadlineAssignmentService() as service:
             first = service.assign_body(body(0))
             assert json.loads(first)["cached"] is False
             before = counts(service)
@@ -112,7 +112,7 @@ class TestMemoHit:
     def test_admissions_and_failures_are_never_remembered(self, parses):
         admit = body(2, admit=True, relative_deadline=500.0)
         invalid = json.dumps({"graph": {}}).encode()
-        with DeadlineAssignmentService(batch_wait=0.001) as service:
+        with DeadlineAssignmentService() as service:
             app_ids = [
                 json.loads(service.assign_body(admit))["admission"]["app_id"]
                 for _ in range(2)
@@ -131,9 +131,7 @@ class TestMemoHit:
 
 class TestMemoBound:
     def test_holds_at_most_cache_size_bodies(self, parses):
-        with DeadlineAssignmentService(
-            cache_size=2, batch_wait=0.001
-        ) as service:
+        with DeadlineAssignmentService(cache_size=2) as service:
             for i in range(3):
                 service.assign_body(body(i))
             assert len(service._memo) == 2
@@ -154,7 +152,6 @@ class TestMemoBound:
         """
         with DeadlineAssignmentService(
             cache_size=2,
-            batch_wait=0.001,
             cache_dir=tmp_path / "spill" if spill else None,
         ) as service:
             first = service.assign_body(body(0))
@@ -194,16 +191,14 @@ class TestMemoStress:
         bodies.append(json.dumps(dict(reversed(doc.items()))).encode())
         expected = {}
         for raw in bodies:
-            with DeadlineAssignmentService(batch_wait=0.001) as ref:
+            with DeadlineAssignmentService() as ref:
                 expected[raw] = {ref.assign_body(raw), ref.assign_body(raw)}
         threads_n = max(8, 4 * (os.cpu_count() or 1))
         per_thread = 40
         wrong: list[bytes] = []
         errors: list[BaseException] = []
         interval = sys.getswitchinterval()
-        with DeadlineAssignmentService(
-            cache_size=4, batch_wait=0.0005
-        ) as service:
+        with DeadlineAssignmentService(cache_size=4) as service:
 
             def client(seed: int) -> None:
                 rng = random.Random(seed)

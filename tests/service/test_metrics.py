@@ -87,13 +87,6 @@ class TestServiceMetrics:
         m.cache_misses.inc()
         assert m.cache_hit_rate() == pytest.approx(0.75)
 
-    def test_observe_batch(self):
-        m = ServiceMetrics()
-        m.observe_batch(4)
-        m.observe_batch(1)
-        assert m.batches.total() == 2.0
-        assert m.batched_items.total() == 5.0
-
     def test_render_exposes_all_families(self):
         m = ServiceMetrics()
         m.requests.inc(endpoint="assign", status="200")
@@ -105,7 +98,6 @@ class TestServiceMetrics:
             "repro_cache_misses_total",
             "repro_cache_hit_rate",
             "repro_assign_latency_seconds",
-            "repro_batches_total",
             "repro_admissions_total",
         ):
             assert family in text

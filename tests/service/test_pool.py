@@ -16,10 +16,11 @@ import math
 import socket
 import threading
 import time
+from concurrent.futures import wait
 
 import pytest
 
-from repro.errors import ServiceOverloadError
+from repro.errors import ServiceOverloadError, ValidationError
 from repro.service import (
     DeadlineAssignmentService,
     PooledFrontend,
@@ -371,6 +372,24 @@ class TestPooledBackpressure:
         finally:
             frontend.close(timeout=10.0)
 
+    def test_max_queue_below_one_is_rejected(self):
+        with pytest.raises(ValidationError, match="max_queue"):
+            WorkerPool(1, max_queue=0)
+
+    def test_close_answers_a_request_in_flight(self):
+        """A request still in the worker when ``stop`` arrives (here in
+        the ``compute_delay`` hook, before parsing) is answered, and the
+        drain ends with it rather than at its timeout."""
+        pool = WorkerPool(1, compute_delay=0.5)
+        pool.start(timeout=120.0)
+        future = pool.submit(distinct_body(0))
+        started = time.monotonic()
+        pool.close(timeout=5.0)
+        assert time.monotonic() - started < 2.0
+        reply = future.result(timeout=0)
+        assert isinstance(reply, bytes)
+        assert json.loads(reply)["format"] == "repro.assign-response/1"
+
     def test_drain_timeout_fails_stragglers_without_hanging(self):
         pool = WorkerPool(1, compute_delay=2.0)
         pool.start(timeout=120.0)
@@ -415,13 +434,16 @@ class TestWorkerDeath:
         try:
             future = pool.submit(distinct_body(0))
             handle = pool._handles[0]
+            started = time.monotonic()
             handle.proc.terminate()
-            # The in-flight future must resolve — cancelled (it never
-            # started) or failed with the worker-death RuntimeError.
-            from concurrent.futures import CancelledError
-
-            with pytest.raises((CancelledError, RuntimeError)):
-                future.result(timeout=30.0)
+            # The in-flight future fails with the worker-death
+            # RuntimeError, and ``wait`` sees it (a cancelled future
+            # would leave ``wait`` blocked for its whole timeout).
+            done, _ = wait([future], timeout=5.0)
+            assert future in done
+            assert time.monotonic() - started < 2.0
+            with pytest.raises(RuntimeError, match="exited"):
+                future.result(timeout=0)
             deadline = time.monotonic() + 10.0
             while pool.workers and time.monotonic() < deadline:
                 time.sleep(0.05)

@@ -8,7 +8,7 @@ Covers four bugs in the service layer:
   separate lock acquisitions, so a scrape racing an ``observe()`` could
   report totals from a different window than its quantiles;
 * ``DeadlineAssignmentService.assign`` skipped the latency observation
-  (and the assignments counter) when the batched computation raised,
+  (and the assignments counter) when the computation raised,
   breaking ``assignments_total == cache_hits + cache_misses``;
 * ``_send_json`` wrote the success status line before serializing, so a
   non-finite float in a response killed the connection mid-reply after
@@ -97,12 +97,12 @@ class TestLatencySummarySnapshot:
 
 class TestAssignFailurePath:
     def test_failed_computation_observes_latency_and_counts(self):
-        with DeadlineAssignmentService(batch_wait=0.001) as service:
+        with DeadlineAssignmentService() as service:
 
             def boom(request):
                 raise RuntimeError("worker pool exploded")
 
-            service.batcher.submit = boom
+            service._compute = boom
             request = request_from_dict(chain_request())
             with pytest.raises(RuntimeError):
                 service.assign(request)

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.slicing import distribute_deadlines
 from repro.graph import chain_graph, graph_from_dict
 from repro.service import DeadlineAssignmentService, create_server
@@ -19,7 +24,7 @@ from .conftest import chain_request, non_finite_request
 
 @pytest.fixture
 def service():
-    with DeadlineAssignmentService(batch_wait=0.001) as svc:
+    with DeadlineAssignmentService() as svc:
         yield svc
 
 
@@ -232,11 +237,11 @@ class TestHttpEndpoints:
 
 
 class TestVecFlushTier:
-    """A burst of distinct workloads through the micro-batcher answers
-    exactly like the per-request compute path."""
+    """A burst of distinct workloads computed on concurrent calling
+    threads answers exactly like one computation at a time."""
 
     def test_burst_of_distinct_workloads_served_through_batcher(self):
-        """End to end: a distinct burst answers correctly via submit()."""
+        """End to end: a distinct burst answers correctly."""
         from repro.service.api import request_from_dict, request_digest
 
         docs = [
@@ -245,7 +250,7 @@ class TestVecFlushTier:
             )
             for i in range(12)
         ]
-        with DeadlineAssignmentService(batch_size=16, batch_wait=0.05) as svc:
+        with DeadlineAssignmentService() as svc:
             expected = {
                 request_digest(request_from_dict(doc)): svc._compute(
                     request_from_dict(doc)
@@ -279,3 +284,31 @@ class TestVecFlushTier:
                     for s in got.slices
                 ]
                 assert have == want
+
+
+_SERVE_IMPORTS = """
+import json, sys
+import repro.__main__
+from repro.cli.main import build_serve_parser
+build_serve_parser()
+import repro.service.frontend, repro.service.pool, repro.service.server
+service = repro.service.server.DeadlineAssignmentService()
+reply = json.loads(service.assign_body(sys.stdin.buffer.read()))
+assert reply["format"] == "repro.assign-response/1", reply
+assert "numpy" not in sys.modules, "a repro serve process imported NumPy"
+"""
+
+
+class TestServeProcessImports:
+    def test_serve_process_does_not_import_numpy(self):
+        """A ``repro serve`` process answers ``/assign`` without NumPy,
+        which only the experiment harness and workload generator use."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", _SERVE_IMPORTS],
+            input=json.dumps(chain_request()).encode(),
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr.decode()

@@ -77,19 +77,31 @@ class TestSubcommands:
         assert args.host == "127.0.0.1"
         assert args.port == 8077
         assert args.cache_size == 1024
-        assert args.batch_size == 8
         # --workers now counts processes: min(cpu_count, 4), so the
         # single-CPU CI host defaults to the in-process path.
         assert args.workers == min(os.cpu_count() or 1, 4)
-        assert args.threads == 4
 
     def test_serve_parser_flags(self):
         args = build_serve_parser().parse_args(
-            ["--port", "0", "--cache-size", "16", "--batch-wait", "0.01"]
+            ["--port", "0", "--cache-size", "16"]
         )
         assert args.port == 0 and args.cache_size == 16
-        assert args.batch_wait == 0.01
 
     def test_serve_rejects_bad_cache_size(self, capsys):
         assert main(["serve", "--cache-size", "0"]) == 2
         assert "cache maxsize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-queue", "-5"), ("--retry-after", "-1")]
+    )
+    def test_serve_rejects_negative_backpressure_settings(
+        self, flag, value, capsys, monkeypatch
+    ):
+        import repro.service
+
+        def must_not_bind(*args, **kwargs):
+            raise AssertionError(f"serve bound a socket despite {flag} {value}")
+
+        monkeypatch.setattr(repro.service, "create_server", must_not_bind)
+        assert main(["serve", "--workers", "1", flag, value]) == 2
+        assert f"error: {flag} must be at least 0" in capsys.readouterr().err
