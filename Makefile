@@ -4,7 +4,7 @@ PYTHON ?= python
 TRIALS ?= 1024
 JOBS ?=
 
-.PHONY: install test bench bench-smoke bench-runner bench-cache bench-fabric bench-service bench-service-pool cache-smoke kernel-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
+.PHONY: install test bench bench-smoke bench-runner bench-cache bench-fabric cache-smoke kernel-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -69,9 +69,6 @@ bench-fabric:
 profile:
 	PYTHONPATH=src $(PYTHON) scripts/profile_trial.py
 
-bench-service:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_service.py --benchmark-only -q
-
 # Static checks (pyflakes + bugbear/async classes) on the modules where
 # concurrency bugs live: the service, the admission path, the store,
 # the CLI.
@@ -92,12 +89,5 @@ serve-smoke:
 # drain.
 serve-pool-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py --workers 2
-
-# Topology equivalence (byte-identity + metric totals) and throughput
-# legs for the pooled service; writes the workers section of
-# BENCH_service.json.  The pooled-vs-single speedup is gated only on
-# hosts with >= 2 CPUs; single-CPU hosts record "skipped: single-cpu".
-bench-service-pool:
-	PYTHONPATH=src $(PYTHON) scripts/bench_service.py
 
 all: test bench

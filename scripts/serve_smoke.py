@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """End-to-end smoke test for the online deadline-assignment service.
 
-Starts a server on an ephemeral port, POSTs one assignment twice (the
-second must be a cache hit), scrapes ``/metrics``, and shuts down.
-With ``--workers N`` (N ≥ 2) a second leg repeats the exercise against
-the pooled topology — asyncio front end + pre-forked workers — over
-one keep-alive connection, forces a 429 + ``Retry-After`` out of a
-saturated one-worker pool, and checks the drain stays bounded.
+Starts the asyncio front end over an in-process service (the
+``--workers 1`` topology) on an ephemeral port, POSTs one assignment
+twice (the second must be a cache hit), scrapes ``/metrics``, and
+shuts down.  With ``--workers N`` (N ≥ 2) a second leg repeats the
+exercise against the pooled topology — the same front end over
+pre-forked workers — over one keep-alive connection, forces a 429 +
+``Retry-After`` out of a saturated one-worker pool, and checks the
+drain stays bounded.
 Prints ``OK`` and exits 0 on success; any failure exits non-zero.
 
 Run via ``make serve-smoke`` / ``make serve-pool-smoke`` or directly::
@@ -25,12 +27,7 @@ import time
 import urllib.request
 
 from repro.graph import chain_graph, graph_to_dict
-from repro.service import (
-    DeadlineAssignmentService,
-    PooledFrontend,
-    WorkerPool,
-    create_server,
-)
+from repro.service import InProcessBackend, PooledFrontend, WorkerPool
 from repro.system import identical_platform
 from repro.system.platform import platform_to_dict
 
@@ -48,12 +45,10 @@ def smoke_body() -> bytes:
 
 
 def single_process_smoke() -> int:
-    service = DeadlineAssignmentService()
-    server = create_server(port=0, service=service)
-    host, port = server.server_address[:2]
+    frontend = PooledFrontend(InProcessBackend())
+    frontend.start()
+    host, port = frontend.address
     base = f"http://{host}:{port}"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
         body = smoke_body()
 
@@ -89,10 +84,7 @@ def single_process_smoke() -> int:
         print(f"serve-smoke: FAIL: {exc}", file=sys.stderr)
         return 1
     finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
-        thread.join(timeout=5)
+        frontend.close(timeout=10.0)
     print(f"serve-smoke: OK ({base}/assign answered, cache hit, metrics sane)")
     return 0
 

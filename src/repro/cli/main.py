@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 
 from ..errors import ReproError
@@ -182,7 +183,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=default_workers(),
         help="worker processes serving assignments (default "
-        "min(cpu_count, 4)); 1 runs the in-process single-server path",
+        "min(cpu_count, 4)); 1 serves from this process, behind the same "
+        "front end",
     )
     parser.add_argument(
         "--max-queue",
@@ -210,14 +212,14 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def serve_main(argv: list[str] | None = None) -> int:
     """Entry point of ``repro serve``.
 
-    ``--workers 1`` serves in-process on the stdlib threading server
-    (today's exact path); ``--workers N`` pre-forks N assignment worker
-    processes behind the asyncio front end.  Service knobs are
-    validated up front in either case, so a bad ``--cache-size`` fails
-    fast instead of inside a spawned worker.
+    Every topology serves through the asyncio front end: ``--workers 1``
+    over one service in this process, ``--workers N`` over N pre-forked
+    assignment worker processes.  Service knobs are validated up front
+    in either case, so a bad ``--cache-size`` fails fast instead of
+    inside a spawned worker.
     """
     args = build_serve_parser().parse_args(argv)
-    from ..service import DeadlineAssignmentService, create_server
+    from ..service import DeadlineAssignmentService, InProcessBackend, WorkerPool
 
     for flag, value, least in (
         ("--workers", args.workers, 1),
@@ -242,67 +244,25 @@ def serve_main(argv: list[str] | None = None) -> int:
         return 2
     if args.workers > 1:
         service.close()
-        return _serve_pooled(args, max_queue)
-    try:
-        server = create_server(
-            args.host, args.port, service, retry_after=args.retry_after
+        backend = WorkerPool(
+            args.workers,
+            cache_size=args.cache_size,
+            max_queue=max_queue,
+            cache_dir=args.cache_dir,
         )
-    except OSError as exc:
-        print(
-            f"error: cannot bind {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        service.close()
-        return 1
-    host, port = server.server_address[:2]
-    print(
-        f"repro deadline-assignment service on http://{host}:{port} "
-        "(POST /assign, GET /healthz, GET /metrics; Ctrl-C to stop)"
+        topology = f"{args.workers} worker processes; "
+    else:
+        backend, topology = InProcessBackend(service), ""
+    frontend = start_frontend(
+        backend, args.host, args.port, retry_after=args.retry_after
     )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        server.server_close()
-        service.close(timeout=args.drain_timeout)
-    return 0
-
-
-def _serve_pooled(args, max_queue: int | None) -> int:
-    """Run the asyncio front end over a pre-forked worker pool."""
-    import threading
-
-    from ..service import PooledFrontend, WorkerPool
-
-    pool = WorkerPool(
-        args.workers,
-        cache_size=args.cache_size,
-        max_queue=max_queue,
-        cache_dir=args.cache_dir,
-    )
-    frontend = PooledFrontend(
-        pool,
-        host=args.host,
-        port=args.port,
-        retry_after=args.retry_after,
-    )
-    try:
-        frontend.start()
-    except OSError as exc:
-        print(
-            f"error: cannot bind {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if frontend is None:
         return 1
     host, port = frontend.address
     print(
         f"repro deadline-assignment service on http://{host}:{port} "
-        f"({args.workers} worker processes; POST /assign, GET /healthz, "
-        "GET /metrics; Ctrl-C to stop)"
+        f"({topology}POST /assign, GET /healthz, GET /metrics; "
+        "Ctrl-C to stop)"
     )
     try:
         threading.Event().wait()  # serve until interrupted
@@ -311,6 +271,34 @@ def _serve_pooled(args, max_queue: int | None) -> int:
     finally:
         frontend.close(timeout=args.drain_timeout)
     return 0
+
+
+def start_frontend(
+    backend, host: str, port: int, *, retry_after: int = 1, fabric=None
+):
+    """Serve *backend* through the asyncio front end on *host*:*port*.
+
+    *fabric*, a sweep coordinator, mounts its ``/fabric/*`` endpoint,
+    counted on the front end's metrics.  Returns the started front
+    end, or ``None`` once a bind or startup failure has been printed as
+    an ``error:`` line.
+    """
+    from ..service import PooledFrontend
+
+    frontend = PooledFrontend(
+        backend, host=host, port=port, retry_after=retry_after
+    )
+    if fabric is not None:
+        frontend.fabric = fabric.endpoint(metrics=frontend.metrics)
+    try:
+        frontend.start()
+    except OSError as exc:
+        print(f"error: cannot bind {host}:{port}: {exc}", file=sys.stderr)
+        return None
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return frontend
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -231,9 +231,7 @@ def sweep_main(argv: list[str] | None = None) -> int:
     from ..fabric import FabricCoordinator
 
     start = time.perf_counter()
-    server = None
-    server_thread = None
-    service = None
+    frontend = None
     try:
         coordinator_kwargs = {}
         if args.batch is not None:
@@ -253,33 +251,24 @@ def sweep_main(argv: list[str] | None = None) -> int:
     shard_done = time.perf_counter()
     try:
         if args.serve:
-            from ..service import DeadlineAssignmentService, create_server
+            from ..service import DeadlineAssignmentService, InProcessBackend
+            from .main import start_frontend
 
-            service = DeadlineAssignmentService(cache_size=8)
-            try:
-                server = create_server(
-                    args.host,
-                    args.port,
-                    service,
-                    fabric=coordinator.endpoint(metrics=service.metrics),
-                )
-            except OSError as exc:
-                print(
-                    f"error: cannot bind {args.host}:{args.port}: {exc}",
-                    file=sys.stderr,
-                )
+            frontend = start_frontend(
+                InProcessBackend(DeadlineAssignmentService(cache_size=8)),
+                args.host,
+                args.port,
+                fabric=coordinator,
+            )
+            if frontend is None:
                 return 1
-            host, port = server.server_address[:2]
+            host, port = frontend.address
             print(
                 f"fabric coordinator serving http://{host}:{port} "
                 "(POST /fabric/lease|complete|heartbeat, GET /fabric/status"
                 "|/metrics); join with: repro sweep --connect "
                 f"http://{host}:{port}"
             )
-            server_thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            server_thread.start()
         workers = args.workers
         coordinator.execute(
             workers=workers,
@@ -310,13 +299,8 @@ def sweep_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-        if server_thread is not None:
-            server_thread.join(timeout=5.0)
-        if service is not None:
-            service.close(timeout=5.0)
+        if frontend is not None:
+            frontend.close(timeout=5.0)
         coordinator.close()
 
     print(render_report(result))

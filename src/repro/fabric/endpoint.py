@@ -1,8 +1,9 @@
 """HTTP face of the fabric: lease/commit endpoints for remote workers.
 
-Mounted on the :mod:`repro.service` front end (``create_server(...,
-fabric=endpoint)``), this turns the coordinator's store directory into
-a *served store*: remote workers never see the filesystem — they pull
+Mounted on the :mod:`repro.service` front end (``frontend.fabric =
+coordinator.endpoint(metrics=frontend.metrics)``, as ``repro sweep
+--serve`` does), this turns the coordinator's store directory into a
+*served store*: remote workers never see the filesystem — they pull
 unit payloads from ``POST /fabric/lease`` and push result records to
 ``POST /fabric/complete``, and the endpoint appends them to the shared
 :class:`~repro.store.TrialStore` on their behalf.

@@ -23,13 +23,15 @@ renders Prometheus text for ``GET /metrics``.
 Run it with ``python -m repro serve`` or embed
 :class:`DeadlineAssignmentService` directly.
 
-Two serving topologies share that engine: ``--workers 1`` runs it
-in-process behind the stdlib :class:`ServiceHTTPServer` (today's exact
-path), while ``--workers N`` pre-forks N worker processes behind an
-asyncio front end (:class:`PooledFrontend` → :class:`WorkerPool`) that
-owns HTTP, body-digest single-flight, 429 backpressure and the
-merged ``/metrics`` exposition (:func:`aggregate_metrics`) — the
-horizontal-scale path for multi-core hosts.
+Every topology serves through one asyncio front end
+(:class:`PooledFrontend`) that owns HTTP, body-digest single-flight,
+429 backpressure, the graceful drain and the merged ``/metrics``
+exposition (:func:`aggregate_metrics`).  ``--workers 1`` puts one
+service in this process behind it (:class:`InProcessBackend`: kept
+body-memo hits answered on the event loop, everything else on four
+request threads); ``--workers N`` pre-forks N worker processes
+(:class:`WorkerPool`) — the horizontal-scale path for multi-core
+hosts.
 """
 
 from .api import (
@@ -47,7 +49,7 @@ from .agg import aggregate_metrics
 from .frontend import PooledFrontend
 from .metrics import Counter, LatencySummary, ServiceMetrics, render_prometheus
 from .pool import RemoteAssignError, WorkerPool, default_workers
-from .server import DeadlineAssignmentService, ServiceHTTPServer, create_server
+from .server import DeadlineAssignmentService, InProcessBackend
 
 __all__ = [
     "AssignRequest",
@@ -66,8 +68,7 @@ __all__ = [
     "ServiceMetrics",
     "render_prometheus",
     "DeadlineAssignmentService",
-    "ServiceHTTPServer",
-    "create_server",
+    "InProcessBackend",
     "WorkerPool",
     "PooledFrontend",
     "RemoteAssignError",

@@ -1,12 +1,13 @@
-"""Cross-process metrics aggregation for the pooled service.
+"""Metrics aggregation behind the service front end.
 
-The pooled topology splits the single-process service's counters over
-N worker processes plus the front end (which owns the HTTP
-request/error counters and the follower side of single-flight).  A
-``GET /metrics`` scrape must still read like one service, so the front
-end collects one :meth:`~repro.service.metrics.ServiceMetrics.snapshot`
-document per worker over the control pipe and folds them — together
-with its own live counters — into a fresh
+The front end splits the service's counters between its backend — N
+worker processes, or one in-process service — and itself (it owns the
+HTTP request/error counters, the follower side of single-flight and
+the sweep fabric's counters).  A ``GET /metrics`` scrape must still
+read like one service, so the front end collects one
+:meth:`~repro.service.metrics.ServiceMetrics.snapshot` document per
+worker (over the control pipe) and folds them — together with its own
+live counters — into a fresh
 :class:`~repro.service.metrics.ServiceMetrics` that renders the usual
 exposition.
 
@@ -65,13 +66,16 @@ def aggregate_metrics(
 
     Returns a fresh :class:`ServiceMetrics` ready to ``render()``; the
     inputs are not mutated.  *base* is the front end's live metrics —
-    HTTP request/error/overload counters plus coalesced-follower
-    accounting — folded in as one more snapshot.
+    HTTP request/error/overload counters, coalesced-follower accounting
+    and any mounted sweep fabric's counters — folded in as one more
+    snapshot; its fabric status provider carries over, so the
+    ``repro_fabric_*`` gauges render live.
     """
     snapshots = list(snapshots)
     merged = ServiceMetrics()
     if base is not None:
         merged.merge_snapshot(base.snapshot())
+        merged.set_fabric_status_provider(base._fabric_status_provider)
     for doc in snapshots:
         merged.merge_snapshot(doc)
     store = merge_store_sections(snapshots)

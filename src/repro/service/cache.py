@@ -9,7 +9,7 @@ is deterministic in those inputs, which is what makes caching sound.
 The cache is a plain lock-guarded ordered dict: the slicing hot path it
 shortcuts is O(n³) in the worst case, so the few hundred nanoseconds of
 locking are noise, and a single lock keeps the hit/miss/eviction
-counters exact under the threading server.
+counters exact under concurrent request threads.
 
 An optional *spill* backend (:class:`StoreSpill` over a
 :class:`repro.store.TrialStore`) turns the LRU into the hot tier of a
@@ -165,6 +165,25 @@ class AssignmentCache(Generic[V]):
                     return value
             self._misses += 1
             return None
+
+    def get_hot(self, key: str) -> V | None:
+        """*key*'s in-memory value, counted as a hit; ``None`` otherwise.
+
+        Never touches the spill tier and never waits on the lock, which
+        :meth:`get` and :meth:`put` hold across spill I/O; so the event
+        loop may call it.  ``None`` books no miss: the caller falls back
+        to :meth:`get`, which books one.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+            return value
+        finally:
+            self._lock.release()
 
     def _insert(self, key: str, value: V) -> None:
         """Insert under the held lock, evicting LRU entries as needed."""

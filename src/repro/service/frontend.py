@@ -1,40 +1,48 @@
-"""Asyncio HTTP front end for the pre-forked assignment worker pool.
+"""Asyncio HTTP front end of ``repro serve`` and ``repro sweep --serve``.
 
-The pooled topology (``repro serve --workers N``, N ≥ 2)::
+Every topology serves through it; only the backend differs::
 
     clients ──keep-alive HTTP──▶ PooledFrontend (1 asyncio thread)
                                    │  HTTP · single-flight · 429 shed
-                                   ├──pipe──▶ assign worker 0 ─┐
-                                   ├──pipe──▶ assign worker 1 ─┤ shared
-                                   └──pipe──▶ ...              ─┘ spill dir
+                                   │  /fabric/* · merged /metrics
+            --workers 1            │            --workers N
+    InProcessBackend ◀─────────────┴─────────────▶ WorkerPool
+      memo hits on the loop;              ├──pipe──▶ assign worker 0 ─┐
+      the rest on 4 request               ├──pipe──▶ assign worker 1 ─┤ shared
+      threads                             └──pipe──▶ ...              ─┘ spill dir
 
 The front end owns everything cheap and I/O-bound — accept, a
 hand-rolled HTTP/1.1 keep-alive parser (stdlib only), backpressure and
-the graceful drain — and forwards raw ``/assign`` bodies to the
-least-loaded worker process, where
+the graceful drain — and hands raw ``/assign`` bodies to its backend
+(``submit(body) -> Future[bytes]``): a request thread of the in-process
+service, or the least-loaded worker process, where
 :meth:`~repro.service.server.DeadlineAssignmentService.assign_body`
 decodes, computes or recalls, and encodes; the reply bytes come back
-as they go out.  The event loop never decodes request JSON or encodes
-a 200 reply.
+as they go out.  An in-process backend also offers ``cached_reply``:
+a repeated body whose encoded reply the service kept, and whose digest
+its LRU holds in memory, is answered on the loop without a thread hop.
+The event loop never decodes request JSON, computes, admits or reads
+the spill store.
 
 Single-flight moves *up* here: requests are coalesced by the SHA-256 of
-their raw body bytes, so a duplicate burst costs one pipe crossing and
-one worker computation no matter how many clients sent it.  Bodies
+their raw body bytes, so a duplicate burst costs one dispatch and one
+computation no matter how many clients sent it.  Bodies
 that could carry an ``admit`` key never coalesce — admission is
 stateful (each submission advances a controller), so every admission
-request must reach a worker individually.  Body-hash coalescing is strictly
-weaker than the worker's canonical-digest single-flight, which still
-catches textually different but canonically equal requests that land
-on the same worker; requests split across workers are instead caught by
-the shared spill tier as cross-process cache hits.
+request must reach the service individually.  Body-hash coalescing is
+strictly weaker than the service's canonical-digest single-flight,
+which still catches textually different but canonically equal requests
+that land on the same worker; requests split across workers are
+instead caught by the shared spill tier as cross-process cache hits.
 
 Metric accounting is split to keep the aggregated ``/metrics`` totals
-identical to the single-process exposition: workers count everything
-about requests they actually receive (cache hits/misses, computed and
-failed assignments, latency); the front end counts the HTTP layer
-(requests, errors, overload sheds) plus the requests that never reach
-a worker — coalesced followers and queue-full sheds — mirroring the
-bumps the single-process service would have made for them.
+identical to one service's exposition: the backend's services count
+everything about requests they actually receive (cache hits/misses,
+computed and failed assignments, latency); the front end counts the
+HTTP layer (requests, errors, overload sheds, the sweep fabric's
+counters) plus the requests that never reach a service — coalesced
+followers and queue-full sheds — mirroring the bumps a service would
+have made for them.
 """
 
 from __future__ import annotations
@@ -48,7 +56,14 @@ import time
 from .agg import aggregate_metrics
 from .metrics import ServiceMetrics
 from .pool import RemoteAssignError, WorkerPool
-from .server import BadJSONError, assign_error, checked_length, load_body
+from .server import (
+    _NON_FINITE,
+    BadJSONError,
+    InProcessBackend,
+    assign_error,
+    checked_length,
+    load_body,
+)
 
 __all__ = ["PooledFrontend"]
 
@@ -66,29 +81,44 @@ _REASONS = {
 _MAX_REQUEST_LINE = 8192
 _MAX_HEADER_BYTES = 65536
 
+#: Seconds the drain gives connections to finish once the backend has
+#: closed (a reply still being written, a body still being read); then
+#: they are aborted.
+_WRITE_GRACE = 2.0
+
 
 class PooledFrontend:
-    """Async HTTP server bridging clients to a :class:`WorkerPool`.
+    """Async HTTP server bridging clients to an assignment backend.
 
     Runs its event loop on a private daemon thread so the CLI, tests
     and smoke scripts can drive it synchronously: :meth:`start` blocks
-    until the socket is bound and every worker answered a readiness
-    ping; :meth:`close` is the graceful drain.
+    until the socket is bound and the backend is ready (every pool
+    worker answered a readiness ping); :meth:`close` is the graceful
+    drain.
 
     Parameters
     ----------
     pool:
-        The worker pool; the front end owns its lifecycle from
+        The backend — a :class:`~repro.service.pool.WorkerPool`
+        (``--workers N``) or an
+        :class:`~repro.service.server.InProcessBackend`
+        (``--workers 1``); the front end owns its lifecycle from
         :meth:`start` through :meth:`close`.
     host / port:
         Bind address (``port=0`` picks a free port; see ``address``).
     retry_after:
         ``Retry-After`` seconds advertised on 429 responses.
+
+    Set :attr:`fabric` before :meth:`start` to mount a sweep-fabric
+    endpoint (``handle(method, path, doc) -> (status, doc)``, see
+    :mod:`repro.fabric`) on ``/fabric/*``; build it over
+    :attr:`metrics` so its counters and queue gauges reach
+    ``GET /metrics``.  Without one, ``/fabric/*`` answers 404.
     """
 
     def __init__(
         self,
-        pool: WorkerPool,
+        pool: WorkerPool | InProcessBackend,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -99,24 +129,31 @@ class PooledFrontend:
         self.port = port
         self.retry_after = retry_after
         self.metrics = ServiceMetrics()
+        self.fabric = None
         self.address: tuple[str, int] | None = None
+        # Backends holding the service in this process answer kept
+        # memo hits on the loop; a pool's memos live in its workers.
+        self._cached_reply = getattr(pool, "cached_reply", None)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._thread: threading.Thread | None = None
         self._boot_error: BaseException | None = None
         self._inflight: dict[str, asyncio.Future] = {}
-        self._conn_tasks: set[asyncio.Task] = set()
+        # Every connection's task and writer; the idle ones (waiting
+        # for their next request) close at once when a drain starts.
+        self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.Task] = set()
         self._draining = False
         self._closed = False
 
     # ------------------------------------------------------------------
     def start(self, timeout: float = 60.0) -> None:
-        """Spawn workers, bind the socket, and serve in the background.
+        """Start the backend, bind the socket, and serve in the background.
 
         Raises whatever the bind raised (``OSError`` for a taken port)
         or ``RuntimeError`` when a worker fails its readiness ping; on
-        failure the pool is closed, so the caller holds no half-started
-        topology.
+        failure the backend is closed, so the caller holds no
+        half-started topology.
         """
         try:
             self.pool.start(timeout=timeout)
@@ -166,11 +203,14 @@ class PooledFrontend:
             loop.close()
 
     def close(self, timeout: float | None = None) -> None:
-        """Graceful drain: stop accepting, finish in-flight, stop pool.
+        """Graceful drain: stop accepting, finish in-flight, stop backend.
 
-        Bounded by *timeout* when given — in-flight computations get up
-        to that many seconds (the pool fails stragglers' futures, so no
-        blocked client connection can hang the drain).  Idempotent.
+        Connections waiting for their next request close at once; a
+        request being read or answered finishes, and its reply carries
+        ``Connection: close``.  Bounded by *timeout* when given —
+        in-flight computations get up to that many seconds (the backend
+        fails stragglers' futures, answered 500, so no blocked client
+        connection can hang the drain).  Idempotent.
         """
         if self._closed:
             return
@@ -191,21 +231,28 @@ class PooledFrontend:
             self._thread.join(10.0)
 
     async def _shutdown(self, timeout: float | None) -> None:
+        # No wait_closed(): since Python 3.12 it also waits for every
+        # open connection, idle keep-alive clients included.
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        # Pool close blocks (pipe joins), so it runs off-loop; it fails
-        # any pending dispatch futures, which wakes the connection
-        # tasks awaiting them — they answer 500 and finish below.
+        for task in self._idle:
+            self._conns[task].close()  # EOF ends its wait for a request
+        # Backend close blocks (thread or pipe joins), so it runs
+        # off-loop; it fails any pending dispatch futures, which wakes
+        # the connection tasks awaiting them — they answer 500 and
+        # finish below.
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, lambda: self.pool.close(timeout))
-        if self._conn_tasks:
-            _, pending = await asyncio.wait(
-                list(self._conn_tasks), timeout=2.0
+        await loop.run_in_executor(None, self.pool.close, timeout)
+        if self._conns:
+            _, late = await asyncio.wait(
+                list(self._conns), timeout=_WRITE_GRACE
             )
-            for task in pending:
-                task.cancel()
+            # Aborted rather than cancelled, a connection task still
+            # ends on its own (Python < 3.13 logs a cancelled one).
+            for task in late:
+                self._conns[task].transport.abort()
+            await asyncio.gather(*late, return_exceptions=True)
 
     def __enter__(self) -> "PooledFrontend":
         self.start()
@@ -221,28 +268,33 @@ class PooledFrontend:
         writer: asyncio.StreamWriter,
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+        self._conns[task] = writer
         try:
-            await self._serve_connection(reader, writer)
+            await self._serve_connection(task, reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer went away mid-request; nothing to answer
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._idle.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                # Only now: a drain must still find (and may abort) a
+                # connection flushing its last reply to a slow reader.
+                del self._conns[task]
 
     async def _serve_connection(
         self,
+        task: asyncio.Task,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        while True:
+        while not self._draining:
+            self._idle.add(task)
             request_line = await reader.readline()
+            self._idle.discard(task)
             if not request_line:
                 return
             if len(request_line) > _MAX_REQUEST_LINE:
@@ -282,14 +334,19 @@ class PooledFrontend:
             if refusal is not None:
                 await self._reply_and_close(writer, *refusal)
                 return
+            if (
+                version == "HTTP/1.1"
+                and headers.get("expect", "").lower() == "100-continue"
+            ):
+                writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             body = await reader.readexactly(length) if length else b""
+            status, payload, content_type, extra = await self._dispatch(
+                method, path, body
+            )
             keep_alive = (
                 version == "HTTP/1.1"
                 and headers.get("connection", "").lower() != "close"
                 and not self._draining
-            )
-            status, payload, content_type, extra = await self._dispatch(
-                method, path, body
             )
             self._write_response(
                 writer, status, payload, content_type, extra, keep=keep_alive
@@ -304,8 +361,7 @@ class PooledFrontend:
         """Answer a protocol error and drop the connection.
 
         Parse-level failures leave the stream position unknown, so
-        keep-alive is never safe afterwards — same policy as the
-        single-process handler's ``close_connection`` flips.
+        keep-alive is never safe afterwards.
         """
         status, body, content_type, extra = self._json_response(
             status, doc, endpoint="unknown"
@@ -349,13 +405,7 @@ class PooledFrontend:
         if method == "GET" and path == "/metrics":
             return await self._metrics_route()
         if path.startswith("/fabric/"):
-            # The pooled topology serves assignments only; run the
-            # single-process server to mount a sweep-fabric endpoint.
-            return self._json_response(
-                404,
-                {"error": "no sweep fabric mounted on this server"},
-                endpoint="fabric",
-            )
+            return await self._fabric_route(method, path, body)
         if method == "POST" and path == "/assign":
             return await self._assign_route(body)
         if method not in ("GET", "POST", "HEAD"):
@@ -370,20 +420,63 @@ class PooledFrontend:
 
     async def _metrics_route(self) -> tuple[int, bytes, str, dict[str, str]]:
         loop = asyncio.get_running_loop()
-        snapshots = await loop.run_in_executor(
-            None, self.pool.metrics_snapshots
-        )
-        merged = aggregate_metrics(snapshots, base=self.metrics)
-        payload = merged.render().encode()
+        payload = await loop.run_in_executor(None, self._render_metrics)
         self.metrics.requests.inc(endpoint="metrics", status="200")
         return 200, payload, "text/plain; version=0.0.4", {}
+
+    def _render_metrics(self) -> bytes:
+        """The merged exposition (off-loop: snapshots, sort, render)."""
+        snapshots = self.pool.metrics_snapshots()
+        return aggregate_metrics(snapshots, base=self.metrics).render().encode()
+
+    async def _fabric_route(
+        self, method: str, path: str, body: bytes
+    ) -> tuple[int, bytes, str, dict[str, str]]:
+        """Serve ``/fabric/*`` from the mounted endpoint, off the loop.
+
+        Failures map like ``/assign``'s (:func:`assign_error`): a body
+        that is not JSON or a :class:`~repro.errors.ReproError` is 400,
+        anything else 500.
+        """
+        if self.fabric is None:
+            return self._json_response(
+                404,
+                {"error": "no sweep fabric mounted on this server"},
+                endpoint="fabric",
+            )
+        loop = asyncio.get_running_loop()
+        try:
+            status, payload = await loop.run_in_executor(
+                None, self._call_fabric, method, path, body
+            )
+        except Exception as exc:  # noqa: BLE001 - every failure is a reply
+            status, doc, kind = assign_error(exc)
+            self.metrics.errors.inc(kind=kind)
+            return self._json_response(status, doc, endpoint="fabric")
+        return self._response(status, payload, endpoint="fabric")
+
+    def _call_fabric(
+        self, method: str, path: str, body: bytes
+    ) -> tuple[int, bytes]:
+        """Decode, handle and encode one fabric request (blocking)."""
+        doc = load_body(body) if method == "POST" else None
+        status, reply = self.fabric.handle(method, path, doc)
+        try:
+            return status, json.dumps(reply, allow_nan=False).encode()
+        except ValueError:
+            self.metrics.errors.inc(kind="non_finite_json")
+            return 500, json.dumps({"error": _NON_FINITE}).encode()
 
     async def _assign_route(
         self, body: bytes
     ) -> tuple[int, bytes, str, dict[str, str]]:
+        if self._cached_reply is not None:
+            reply = self._cached_reply(body)
+            if reply is not None:
+                return self._response(200, reply, endpoint="assign")
         digest = hashlib.sha256(body).hexdigest()
         # Admission mutates controller state per submission, so a body
-        # that could carry an admit key must reach a worker on its own.
+        # that could carry an admit key must reach the service on its own.
         # JSON keys may spell letters as \u escapes: only bodies with
         # neither a literal "admit" nor any \u escape coalesce.
         coalesce = b'"admit"' not in body and b"\\u" not in body
@@ -397,8 +490,8 @@ class PooledFrontend:
     ) -> tuple[int, bytes, str, dict[str, str]]:
         """Wait on an identical in-flight request instead of dispatching.
 
-        Books exactly the counters the single-process service would
-        have booked for a coalesced follower: a cache miss, a
+        Books exactly the counters a service would have booked for a
+        coalesced follower: a cache miss, a
         single-flight wait, a ``coalesced`` (or ``failed``) assignment,
         and a latency observation — none for a body that is not JSON,
         which never reaches the assignment path.
@@ -435,8 +528,8 @@ class PooledFrontend:
             pool_future = self.pool.submit(body)
         except BaseException as exc:  # noqa: BLE001 - shed/refused path
             # Never dispatched: a body that is not JSON still gets the
-            # worker's 400, and any other body the failure accounting
-            # the single-process service books for it.
+            # service's 400, and any other body the failure accounting
+            # a service books for it.
             try:
                 load_body(body)
             except BadJSONError as bad:
@@ -445,8 +538,8 @@ class PooledFrontend:
             return self._assign_failed(exc, start)
         try:
             reply = await asyncio.wrap_future(pool_future)
-        except BaseException as exc:  # noqa: BLE001 - worker-side error
-            # The worker booked the assign-side counters already.
+        except BaseException as exc:  # noqa: BLE001 - backend-side error
+            # The backend's service booked the assign-side counters.
             settle(exc)
             return self._assign_failed(exc)
         settle(None, reply)
@@ -455,7 +548,7 @@ class PooledFrontend:
     def _book_miss(
         self, start: float, source: str, *, follower: bool = False
     ) -> None:
-        """The assign-side counters of a request no worker served."""
+        """The assign-side counters of a request no service served."""
         self.metrics.cache_misses.inc()
         if follower:
             self.metrics.singleflight_waits.inc()
@@ -469,11 +562,11 @@ class PooledFrontend:
         *,
         follower: bool = False,
     ) -> tuple[int, bytes, str, dict[str, str]]:
-        """Answer a failed ``/assign`` like the single-process handler.
+        """Answer a failed ``/assign`` with :func:`assign_error`'s mapping.
 
-        With a *start*, the request never reached a worker, so its
+        With a *start*, the request never reached a service, so its
         assign-side counters are booked here — unless its body is not
-        JSON, which the single-process service rejects before them.
+        JSON, which a service rejects before them.
         """
         if isinstance(exc, RemoteAssignError):
             status, doc, kind = exc.status, exc.doc, exc.kind
@@ -496,8 +589,7 @@ class PooledFrontend:
         endpoint: str,
         extra: dict[str, str] | None = None,
     ) -> tuple[int, bytes, str, dict[str, str]]:
-        """Serialize an error or probe document like the single-process
-        ``_send_json`` (its documents hold strings only)."""
+        """Serialize an error or probe document (strings only)."""
         return self._response(
             status, json.dumps(doc).encode(), endpoint=endpoint, extra=extra
         )

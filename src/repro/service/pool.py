@@ -68,8 +68,8 @@ __all__ = ["RemoteAssignError", "WorkerPool", "default_workers"]
 def default_workers() -> int:
     """The ``--workers`` default: ``min(cpu_count, 4)``.
 
-    On a single-CPU host this is 1, which selects the in-process
-    single-server path — pre-forking cannot beat one core.
+    On a single-CPU host this is 1, which serves from the front end's
+    own process — pre-forking cannot beat one core.
     """
     return min(os.cpu_count() or 1, 4)
 
@@ -79,7 +79,8 @@ class RemoteAssignError(Exception):
 
     Carries the worker's :func:`~repro.service.server.assign_error`
     mapping — HTTP status, reply document and ``errors`` kind — so the
-    front end answers exactly what the single-process handler would.
+    front end answers exactly what it answers for an in-process
+    service's failure.
     """
 
     def __init__(self, status: int, doc: dict[str, str], kind: str) -> None:
@@ -89,7 +90,7 @@ class RemoteAssignError(Exception):
         self.kind = kind
 
 
-#: Request threads per worker process.
+#: Request threads per worker process (and of the in-process backend).
 _REQUEST_THREADS = 4
 
 
@@ -98,8 +99,8 @@ def _pool_worker_main(conn, config: dict) -> None:
 
     Runs one :class:`DeadlineAssignmentService` and a small thread pool,
     so concurrent ``assign`` dispatches coalesce in the service's
-    single-flight layer exactly as they would in the single-process
-    server.  Replies are serialized by a send lock (the pipe is the only
+    single-flight layer exactly as they would in the in-process
+    backend.  Replies are serialized by a send lock (the pipe is the only
     shared output).  On ``stop`` the worker waits, bounded by the drain
     timeout, for every request it has received, then exits via
     ``os._exit`` so a straggler thread can never wedge shutdown.

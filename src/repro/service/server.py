@@ -1,4 +1,4 @@
-"""The online deadline-assignment service and its stdlib HTTP front end.
+"""The online deadline-assignment service and its in-process backend.
 
 Two layers:
 
@@ -19,30 +19,29 @@ Two layers:
   ``max_queue`` bounds the computations running at once, shedding the
   next distinct miss as :class:`~repro.errors.ServiceOverloadError`,
   which the HTTP layer maps to ``429`` with a ``Retry-After`` header.
-* :func:`create_server` — a :class:`ThreadingHTTPServer` exposing
+* :class:`InProcessBackend` — the backend of ``repro serve --workers
+  1`` behind the asyncio front end (:mod:`repro.service.frontend`):
+  one service in this process, with the surface the front end uses on
+  :class:`~repro.service.pool.WorkerPool`.
 
-  - ``POST /assign``  — JSON request in, per-task slices (+ verdict) out,
-  - ``GET /healthz``  — liveness probe,
-  - ``GET /metrics``  — Prometheus text exposition.
-
-Both HTTP stacks (this one and the pooled front end) answer ``POST
-/assign`` through :meth:`DeadlineAssignmentService.assign_body`, bytes
-in and bytes out, and map its failures with :func:`assign_error`:
-every :class:`~repro.errors.ReproError` is HTTP 400 with a JSON
-``{"error": ..., "kind": ...}`` body, overload a 429, anything else a
-500.  The response's ``cached`` flag and the cache-hit counters make
-the caching behaviour observable end to end.
+Every topology answers ``POST /assign`` through
+:meth:`DeadlineAssignmentService.assign_body`, bytes in and bytes out,
+and maps its failures with :func:`assign_error`: every
+:class:`~repro.errors.ReproError` is HTTP 400 with a JSON ``{"error":
+..., "kind": ...}`` body, overload a 429, anything else a 500.  The
+response's ``cached`` flag and the cache-hit counters make the caching
+behaviour observable end to end.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import Future, wait
 from pathlib import Path
 from typing import Any
 
@@ -63,15 +62,15 @@ from .api import (
 )
 from .cache import AssignmentCache, StoreSpill
 from .metrics import ServiceMetrics
+from .pool import _REQUEST_THREADS
 
 __all__ = [
     "DeadlineAssignmentService",
-    "ServiceHTTPServer",
+    "InProcessBackend",
     "assign_error",
-    "create_server",
 ]
 
-#: Largest request body either HTTP stack reads.
+#: Largest request body the front end reads.
 MAX_BODY_BYTES = 64 << 20
 
 _NON_FINITE = "internal error: response contained non-finite numbers"
@@ -97,7 +96,7 @@ def checked_length(value: str) -> tuple[int, tuple[int, dict] | None]:
     """Parse a ``Content-Length`` header value against :data:`MAX_BODY_BYTES`.
 
     Returns ``(length, None)``, or ``(0, (status, document))`` for a
-    value both HTTP stacks refuse before reading any body: 400 for a
+    value the front end refuses before reading any body: 400 for a
     non-integer, 413 for a negative length or one over the limit.  The
     stream position is then unknown, so the connection closes.
     """
@@ -114,11 +113,11 @@ def assign_error(exc: BaseException) -> tuple[int, dict[str, str], str]:
     """The HTTP status, reply document and ``errors`` kind of a failed
     ``POST /assign``.
 
-    The one mapping of both HTTP stacks: a body that is not JSON is 400
-    without a ``kind``; overload is 429 (the caller adds
-    ``Retry-After``); any other :class:`~repro.errors.ReproError` is 400
-    with its class name as ``kind``; a non-finite reply and anything
-    else are 500.
+    The one mapping of every topology, used for ``/fabric/*`` failures
+    too: a body that is not JSON is 400 without a ``kind``; overload is
+    429 (the caller adds ``Retry-After``); any other
+    :class:`~repro.errors.ReproError` is 400 with its class name as
+    ``kind``; a non-finite reply and anything else are 500.
     """
     if isinstance(exc, BadJSONError):
         return 400, {"error": str(exc)}, "bad_json"
@@ -132,7 +131,7 @@ def assign_error(exc: BaseException) -> tuple[int, dict[str, str], str]:
 
 
 def _reply_bytes(response: AssignResponse) -> bytes:
-    """The ``200`` body of *response*, as both HTTP stacks send it."""
+    """The ``200`` body of *response*, as the front end sends it."""
     try:
         return json.dumps(response_to_dict(response), allow_nan=False).encode()
     except ValueError:
@@ -239,7 +238,7 @@ class DeadlineAssignmentService:
     def assign_body(self, body: bytes) -> bytes:
         """Serve one raw ``POST /assign`` body; returns the 200 reply.
 
-        The ``/assign`` entry of both HTTP stacks.  A body that parsed,
+        The ``/assign`` entry of every topology.  A body that parsed,
         validated and carries no ``admit`` is remembered by the SHA-256
         of its bytes, next to its request digest; the memo holds at most
         ``cache_size`` bodies and drops the least recently used first.
@@ -247,20 +246,18 @@ class DeadlineAssignmentService:
         cache lookup — no decoding, validation or re-digesting — and a
         hit books exactly what :meth:`assign`'s hit books.  The encoded
         ``cached: true`` reply is kept once the body has been answered
-        from the cache, so later repeats skip encoding as well.  The
-        memo stores no assignment: when the cache has dropped the
-        digest, the lookup counts a miss and the parsed body is
-        computed under the known digest.
+        from the cache, so later repeats skip encoding as well, and
+        :meth:`cached_reply` answers them first.  The memo stores no
+        assignment: when the cache has dropped the digest, the lookup
+        counts a miss and the parsed body is computed under the known
+        digest.
 
         Failures raise; :func:`assign_error` maps them to HTTP replies
         (:class:`BadJSONError` for a body that is not JSON,
         :class:`NonFiniteReplyError` for a reply JSON cannot carry).
         """
         key = hashlib.sha256(body).digest()
-        with self._memo_lock:
-            entry = self._memo.get(key)
-            if entry is not None:
-                self._memo.move_to_end(key)
+        entry = self._memo_entry(key)
         if entry is None:
             request = request_from_dict(load_body(body))
             response = self.assign(request)
@@ -271,6 +268,9 @@ class DeadlineAssignmentService:
                     self._memo[key] = [response.digest, kept]
                     while len(self._memo) > self.cache.maxsize:
                         self._memo.popitem(last=False)
+            return reply
+        reply = self._kept_reply(entry)
+        if reply is not None:
             return reply
         digest = entry[0]
         start = time.perf_counter()
@@ -289,6 +289,42 @@ class DeadlineAssignmentService:
             entry[1] = _reply_bytes(
                 response_from_assignment(assignment, digest, cached=True)
             )
+        return entry[1]
+
+    def cached_reply(self, body: bytes) -> bytes | None:
+        """The kept ``cached: true`` reply of a repeated *body*, or ``None``.
+
+        Answers when the body memo already holds the encoded reply and
+        the LRU holds its digest in memory, and books what any cache hit
+        books: one ``cache_hits``, one ``assignments{source="cache"}``
+        and one latency observation.  It never decodes, computes, admits
+        or reads the spill tier, so the front end's event loop calls it
+        on ``--workers 1``; ``None`` books nothing and leaves the body
+        to :meth:`assign_body`.
+        """
+        return self._kept_reply(
+            self._memo_entry(hashlib.sha256(body).digest())
+        )
+
+    def _memo_entry(self, key: bytes) -> list | None:
+        """The memo entry of body hash *key*, refreshed as most recent."""
+        with self._memo_lock:
+            entry = self._memo.get(key)
+            if entry is not None:
+                self._memo.move_to_end(key)
+        return entry
+
+    def _kept_reply(self, entry: list | None) -> bytes | None:
+        """The hit path shared by :meth:`cached_reply` and
+        :meth:`assign_body`."""
+        if entry is None or entry[1] is None:
+            return None
+        start = time.perf_counter()
+        if self.cache.get_hot(entry[0]) is None:
+            return None
+        self.metrics.cache_hits.inc()
+        self.metrics.assignments.inc(source="cache")
+        self.metrics.assign_latency.observe(time.perf_counter() - start)
         return entry[1]
 
     def _lookup(self, digest: str) -> DeadlineAssignment | None:
@@ -486,248 +522,116 @@ class DeadlineAssignmentService:
             return self._controllers.get(self._platform_key(platform))
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one service instance."""
+class InProcessBackend:
+    """The front end's backend for ``repro serve --workers 1``.
 
-    daemon_threads = True
+    One :class:`DeadlineAssignmentService` in this process, behind the
+    surface the front end uses on
+    :class:`~repro.service.pool.WorkerPool`: :meth:`start`,
+    :meth:`submit`, :meth:`metrics_snapshots`, :meth:`close` and
+    :attr:`workers`.  :meth:`cached_reply` answers kept body-memo hits
+    on the caller's thread (the event loop); :meth:`submit` hands every
+    other body to ``assign_body`` on a few daemon request threads, as
+    many as each pool worker runs.  Daemon threads, not a
+    ``ThreadPoolExecutor`` (which joins its threads at interpreter
+    exit): a computation still running after the drain timeout must
+    not keep the process alive.
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: DeadlineAssignmentService,
-        *,
-        retry_after: int = 1,
-        fabric: Any = None,
-    ) -> None:
-        super().__init__(address, _ServiceRequestHandler)
-        self.service = service
-        self.retry_after = retry_after
-        #: Optional sweep-fabric endpoint (see :mod:`repro.fabric`):
-        #: when set, ``/fabric/*`` requests are dispatched to its
-        #: ``handle(method, path, doc)``; when ``None`` they 404.
-        self.fabric = fabric
-
-
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    server: ServiceHTTPServer
-    protocol_version = "HTTP/1.1"
-    # Small JSON responses after sub-ms cache hits sit exactly in the
-    # Nagle + delayed-ACK stall window; send segments immediately.
-    disable_nagle_algorithm = True
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            self._send_json(200, {"status": "ok"}, endpoint="healthz")
-        elif self.path.startswith("/fabric/"):
-            self._handle_fabric("GET", None)
-        elif self.path == "/metrics":
-            body = self.server.service.metrics.render().encode()
-            self._send(
-                200, body, "text/plain; version=0.0.4", endpoint="metrics"
-            )
-        else:
-            self._send_json(
-                404,
-                {"error": f"unknown path {self.path!r}"},
-                endpoint="unknown",
-            )
-
-    # Bodies larger than this are not drained for keep-alive reuse on
-    # error paths; the connection is closed instead.
-    _MAX_DRAIN = 1 << 20
-
-    def _drain_request_body(self) -> None:
-        """Consume an unread request body so keep-alive stays in sync.
-
-        HTTP/1.1 replies on a persistent connection must not leave the
-        request's body bytes in the stream — the peer's next request
-        would be parsed starting inside them.  Reads and discards
-        ``Content-Length`` bytes; anything unbounded (chunked encoding,
-        oversized or unparsable lengths) flips ``close_connection``
-        instead, which tells the base handler to drop the connection
-        after the reply.
-        """
-        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
-            self.close_connection = True
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0") or "0")
-        except ValueError:
-            self.close_connection = True
-            return
-        if length <= 0:
-            return
-        if length > self._MAX_DRAIN:
-            self.close_connection = True
-            return
-        while length > 0:
-            chunk = self.rfile.read(min(length, 65536))
-            if not chunk:
-                self.close_connection = True
-                return
-            length -= len(chunk)
-
-    def _handle_fabric(self, method: str, doc: Any) -> None:
-        """Dispatch one ``/fabric/*`` request to the mounted endpoint.
-
-        The endpoint object is duck-typed (``handle(method, path, doc)
-        -> (status, body)``) so the service layer does not import
-        :mod:`repro.fabric`; errors map exactly like ``/assign``'s:
-        :class:`ReproError` → 400, anything else → 500.
-        """
-        service = self.server.service
-        fabric = self.server.fabric
-        if fabric is None:
-            self._send_json(
-                404,
-                {"error": "no sweep fabric mounted on this server"},
-                endpoint="fabric",
-            )
-            return
-        try:
-            status, reply = fabric.handle(method, self.path, doc)
-        except ReproError as exc:
-            service.metrics.errors.inc(kind=type(exc).__name__)
-            self._send_json(
-                400,
-                {"error": str(exc), "kind": type(exc).__name__},
-                endpoint="fabric",
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            service.metrics.errors.inc(kind="internal")
-            self._send_json(
-                500, {"error": f"internal error: {exc}"}, endpoint="fabric"
-            )
-            return
-        self._send_json(status, reply, endpoint="fabric")
-
-    def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` once a refused ``Content-Length``
-        has been answered (that connection then closes)."""
-        length, refusal = checked_length(self.headers.get("Content-Length", ""))
-        if refusal is not None:
-            status, doc = refusal
-            self._send_json(
-                status,
-                doc,
-                endpoint="unknown",
-                extra_headers={"Connection": "close"},
-            )
-            return None
-        return self.rfile.read(length)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        service = self.server.service
-        if self.path.startswith("/fabric/"):
-            body = self._read_body()
-            if body is None:
-                return
-            try:
-                data = load_body(body)
-            except BadJSONError as exc:
-                service.metrics.errors.inc(kind="bad_json")
-                self._send_json(400, {"error": str(exc)}, endpoint="fabric")
-                return
-            self._handle_fabric("POST", data)
-            return
-        if self.path != "/assign":
-            # Read the body we are not going to use *before* replying,
-            # or its bytes desync the next request on this connection.
-            self._drain_request_body()
-            self._send_json(
-                404,
-                {"error": f"unknown path {self.path!r}"},
-                endpoint="unknown",
-            )
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            reply = service.assign_body(body)
-        except Exception as exc:  # noqa: BLE001 - every failure is a reply
-            status, doc, kind = assign_error(exc)
-            service.metrics.errors.inc(kind=kind)
-            extra = None
-            if status == 429:
-                # Backpressure: shed with the standard retry contract.
-                service.metrics.overloads.inc()
-                extra = {"Retry-After": str(self.server.retry_after)}
-            self._send_json(status, doc, endpoint="assign", extra_headers=extra)
-            return
-        self._send(200, reply, "application/json", endpoint="assign")
-
-    # ------------------------------------------------------------------
-    def _send_json(
-        self,
-        status: int,
-        doc: dict[str, Any],
-        *,
-        endpoint: str,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        # Serialize before touching the wire or the request counter: a
-        # non-finite float in *doc* must degrade to a 500 JSON reply (and
-        # be counted as such), not kill the connection after metrics
-        # already claimed a success.
-        try:
-            body = json.dumps(doc, allow_nan=False).encode()
-        except ValueError:
-            status = 500
-            self.server.service.metrics.errors.inc(kind="non_finite_json")
-            body = json.dumps({"error": _NON_FINITE}).encode()
-        self._send(
-            status, body, "application/json", endpoint=endpoint,
-            extra_headers=extra_headers,
-        )
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        *,
-        endpoint: str,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        self.server.service.metrics.requests.inc(
-            endpoint=endpoint, status=str(status)
-        )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # request logging is the metrics endpoint's job
-
-
-def create_server(
-    host: str = "127.0.0.1",
-    port: int = 8077,
-    service: DeadlineAssignmentService | None = None,
-    *,
-    retry_after: int = 1,
-    fabric: Any = None,
-) -> ServiceHTTPServer:
-    """Bind a :class:`ServiceHTTPServer`; ``port=0`` picks a free port.
-
-    ``retry_after`` is the ``Retry-After`` hint (seconds) attached to
-    429 responses when the service sheds load.  ``fabric`` mounts a
-    sweep-fabric endpoint (``/fabric/*`` lease/complete/heartbeat/
-    status routes for remote sweep workers — see :mod:`repro.fabric`).
-    The caller owns the lifecycle: ``serve_forever()`` to run,
-    ``shutdown()``/``server_close()`` to stop, and
-    ``server.service.close()`` to wait for running computations (pass
-    a timeout for a bounded drain).
+    The service's ``max_queue`` bounds its running computations, so
+    the next distinct miss fails with
+    :class:`~repro.errors.ServiceOverloadError` (HTTP 429).
     """
-    if service is None:
-        service = DeadlineAssignmentService()
-    return ServiceHTTPServer(
-        (host, port), service, retry_after=retry_after, fabric=fabric
-    )
+
+    def __init__(self, service: DeadlineAssignmentService | None = None) -> None:
+        self.service = service if service is not None else DeadlineAssignmentService()
+        self.cached_reply = self.service.cached_reply
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads: list[threading.Thread] = []
+        # Futures submitted and not yet settled: the drain's scope.
+        self._pending: set[Future] = set()
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def start(self, timeout: float = 60.0) -> None:
+        """Start the request threads (*timeout* mirrors the pool's)."""
+        for index in range(_REQUEST_THREADS):
+            thread = threading.Thread(
+                target=self._serve,
+                name=f"repro-assign-{index}",
+                daemon=True,
+            )
+            thread.start()
+            self._threads.append(thread)
+
+    @property
+    def workers(self) -> int:
+        """1 while serving, as one live worker of a pool would read."""
+        return int(bool(self._threads) and not self._closed)
+
+    def submit(self, body: bytes) -> Future:
+        """Queue one raw ``/assign`` body; returns its future.
+
+        The future resolves to the 200 reply bytes or fails with what
+        ``assign_body`` raised.  Raises ``RuntimeError`` once closed.
+        """
+        future: Future = Future()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot submit to a closed backend")
+            self._pending.add(future)
+        self._jobs.put((future, body))
+        return future
+
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            future, body = job
+            with self._lock:
+                if future not in self._pending:
+                    continue  # failed by a timed drain before it ran
+            try:
+                reply = self.service.assign_body(body)
+            except Exception as exc:  # noqa: BLE001 - the caller's reply
+                self._settle(future, exc)
+            else:
+                self._settle(future, None, reply)
+
+    def _settle(
+        self, future: Future, exc: BaseException | None, reply: bytes = b""
+    ) -> None:
+        with self._lock:
+            if future not in self._pending:
+                return  # a timed drain failed it already
+            self._pending.discard(future)
+        if exc is None:
+            future.set_result(reply)
+        else:
+            future.set_exception(exc)
+
+    def metrics_snapshots(self) -> list[dict]:
+        """The service's one metrics snapshot."""
+        return [self.service.metrics.snapshot()]
+
+    def close(self, timeout: float | None = None) -> None:
+        """Refuse new bodies, wait for the submitted ones, stop.
+
+        Bounded when *timeout* is given: bodies still unanswered then
+        fail with ``RuntimeError`` (HTTP 500), as on the pool.  The
+        service closes last, so every answered computation's spill
+        write lands first.  Idempotent.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            pending = list(self._pending)
+        wait(pending, timeout=timeout)
+        with self._lock:
+            stragglers = list(self._pending)
+            self._pending.clear()
+        for future in stragglers:
+            future.set_exception(
+                RuntimeError("assignment drain timed out; request abandoned")
+            )
+        for _ in self._threads:
+            self._jobs.put(None)
+        self.service.close(timeout=0.0)

@@ -9,7 +9,6 @@ remote-workers-only sweep that must stay bit-identical.
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -21,8 +20,10 @@ from repro.fabric import (
     compute_unit,
     worker_loop,
 )
-from repro.service import DeadlineAssignmentService, create_server
+from repro.service import DeadlineAssignmentService
 from repro.service.metrics import ServiceMetrics
+
+from ..service.conftest import serve_in_process
 
 TRIALS, SEED, CHUNK = 8, 41, 4
 
@@ -147,20 +148,9 @@ class TestHTTPIntegration:
     @pytest.fixture
     def served(self, coordinator):
         service = DeadlineAssignmentService(cache_size=4)
-        server = create_server(
-            "127.0.0.1",
-            0,
-            service,
-            fabric=coordinator.endpoint(metrics=service.metrics),
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield coordinator, f"http://{host}:{port}"
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
-        service.close(timeout=5.0)
+        with serve_in_process(service, fabric=coordinator) as frontend:
+            host, port = frontend.address
+            yield coordinator, f"http://{host}:{port}"
 
     def test_remote_workers_complete_the_sweep_bit_identically(
         self, spec, served

@@ -2,13 +2,55 @@
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
 
 import pytest
 
 from repro.graph import chain_graph, graph_to_dict
+from repro.service import InProcessBackend, PooledFrontend
 from repro.system import identical_platform
 from repro.system.platform import platform_to_dict
+
+
+def scrape(host: str, port: int) -> dict[str, float]:
+    """``GET /metrics`` as a series-name → value map."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("GET", "/metrics")
+        response = conn.getresponse()
+        assert response.status == 200
+        text = response.read().decode()
+    finally:
+        conn.close()
+    series = {}
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            series[name] = float(value)
+    return series
+
+
+@contextlib.contextmanager
+def serve_in_process(service=None, *, fabric=None, retry_after=1):
+    """The front end over an in-process backend on a free loopback port.
+
+    *service* defaults to a fresh ``DeadlineAssignmentService``;
+    *fabric*, a sweep coordinator, mounts its ``/fabric/*`` endpoint
+    over the front end's metrics, as ``repro sweep --serve`` does.
+    Yields the started front end and drains it on exit.
+    """
+    frontend = PooledFrontend(
+        InProcessBackend(service), retry_after=retry_after
+    )
+    if fabric is not None:
+        frontend.fabric = fabric.endpoint(metrics=frontend.metrics)
+    frontend.start()
+    try:
+        yield frontend
+    finally:
+        frontend.close(timeout=5.0)
 
 
 def chain_request(

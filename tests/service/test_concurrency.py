@@ -11,7 +11,9 @@ These pin the service's parallel-load contracts:
 * a miss computes on the calling thread; the service starts no thread;
 * ``max_queue`` bounds running computations and sheds the next distinct
   miss as HTTP 429 + ``Retry-After``; hits and followers are never shed;
-* ``close()`` refuses new computations and waits for running ones;
+* ``close()`` refuses new computations and waits for running ones; the
+  front end's bounded drain answers a straggler 500 and leaves it on a
+  daemon thread;
 * an HTTP/1.1 404 on a keep-alive connection drains the request body,
   so the next pipelined request still parses (desync regression).
 """
@@ -24,11 +26,15 @@ import time
 import pytest
 
 from repro.errors import ServiceOverloadError, ValidationError
-from repro.service import DeadlineAssignmentService, create_server
+from repro.service import (
+    DeadlineAssignmentService,
+    InProcessBackend,
+    PooledFrontend,
+)
 from repro.service.server import assign_error
 from repro.system import identical_platform
 
-from .conftest import chain_request
+from .conftest import chain_request, serve_in_process
 
 
 class GatedService(DeadlineAssignmentService):
@@ -243,16 +249,10 @@ class TestBackpressureHTTP:
     @pytest.fixture
     def gated_server(self):
         service = GatedService(max_queue=1)
-        server = create_server(port=0, service=service, retry_after=7)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield f"{host}:{port}", service
-        service.gate.set()
-        server.shutdown()
-        server.server_close()
-        service.close(timeout=5)
-        thread.join(timeout=5)
+        with serve_in_process(service, retry_after=7) as frontend:
+            host, port = frontend.address
+            yield f"{host}:{port}", service
+            service.gate.set()  # open before the drain waits on it
 
     def test_overflow_is_429_with_retry_after(self, gated_server):
         addr, service = gated_server
@@ -465,19 +465,54 @@ class TestClose:
         svc.close()
         svc.close(timeout=0.1)
 
+    def test_front_end_drain_abandons_a_straggler(self):
+        """A computation still running at the drain timeout is answered
+        500 and left on a daemon thread, which cannot keep the process
+        alive."""
+        svc = GatedService()
+        frontend = PooledFrontend(InProcessBackend(svc))
+        frontend.start()
+        outcome: list = []
+
+        def client() -> None:
+            conn = http.client.HTTPConnection(*frontend.address, timeout=30)
+            try:
+                conn.request(
+                    "POST", "/assign", body=json.dumps(chain_request()).encode()
+                )
+                response = conn.getresponse()
+                outcome.append((response.status, json.loads(response.read())))
+            finally:
+                conn.close()
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        try:
+            assert svc.compute_started.wait(5)
+            started = time.monotonic()
+            frontend.close(timeout=0.3)
+            assert time.monotonic() - started < 2.0
+            thread.join(10)
+            assert outcome == [
+                (
+                    500,
+                    {
+                        "error": "internal error: assignment drain timed "
+                        "out; request abandoned"
+                    },
+                )
+            ]
+            threads = frontend.pool._threads
+            assert threads and all(t.daemon for t in threads)
+        finally:
+            svc.gate.set()
+
 
 class TestKeepAlive:
     @pytest.fixture
     def live_server(self):
-        server = create_server(port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield host, port
-        server.shutdown()
-        server.server_close()
-        server.service.close()
-        thread.join(timeout=5)
+        with serve_in_process() as frontend:
+            yield frontend.address
 
     def test_404_with_body_does_not_desync_next_request(self, live_server):
         """Two requests, one connection: 404-with-body, then /assign.

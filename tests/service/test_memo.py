@@ -18,10 +18,10 @@ import threading
 
 import pytest
 
-from repro.service import DeadlineAssignmentService, create_server
+from repro.service import DeadlineAssignmentService
 from repro.service import server as server_module
 
-from .conftest import chain_request
+from .conftest import chain_request, serve_in_process
 
 
 def body(i: int, **extra) -> bytes:
@@ -84,30 +84,25 @@ class TestMemoHit:
             assert json.loads(first) == {**full, "cached": False}
 
     def test_http_repeats_count_one_request_each(self, parses):
-        server = create_server("127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        conn = http.client.HTTPConnection(host, port, timeout=30)
-        try:
-            replies = []
-            for _ in range(4):
-                conn.request("POST", "/assign", body=body(1))
-                response = conn.getresponse()
-                assert response.status == 200
-                replies.append(json.loads(response.read()))
-            metrics = server.service.metrics
+        with serve_in_process() as frontend:
+            conn = http.client.HTTPConnection(*frontend.address, timeout=30)
+            try:
+                replies = []
+                for _ in range(4):
+                    conn.request("POST", "/assign", body=body(1))
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    replies.append(json.loads(response.read()))
+            finally:
+                conn.close()
+            # The front end counts HTTP requests, the service the rest.
+            requests = frontend.metrics.requests
+            metrics = frontend.pool.service.metrics
             assert [r["cached"] for r in replies] == [False, True, True, True]
             assert len(parses) == 1
-            assert metrics.requests.value(endpoint="assign", status="200") == 4
+            assert requests.value(endpoint="assign", status="200") == 4
             assert metrics.cache_hits.total() == 3
             assert metrics.assign_latency.count == 4
-        finally:
-            conn.close()
-            server.shutdown()
-            server.server_close()
-            server.service.close()
-            thread.join(10.0)
 
     def test_admissions_and_failures_are_never_remembered(self, parses):
         admit = body(2, admit=True, relative_deadline=500.0)
@@ -127,6 +122,69 @@ class TestMemoHit:
                         service.assign_body(bad)
             assert len(parses) == 4  # two admissions, two invalid bodies
             assert len(service._memo) == 0
+
+
+def post(conn: http.client.HTTPConnection, raw: bytes) -> tuple[int, bytes]:
+    conn.request("POST", "/assign", body=raw)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestLoopHit:
+    """The front end answers a kept memo hit on its event loop."""
+
+    def test_kept_hit_needs_no_request_thread(self, monkeypatch):
+        with serve_in_process() as frontend:
+            service = frontend.pool.service
+            conn = http.client.HTTPConnection(*frontend.address, timeout=30)
+            try:
+                # Computed, then answered from the cache: the memo now
+                # keeps the encoded reply.
+                replies = [post(conn, body(3))[1] for _ in range(2)]
+
+                def refuse(raw: bytes) -> bytes:
+                    raise AssertionError("a kept hit reached assign_body")
+
+                monkeypatch.setattr(service, "assign_body", refuse)
+                before = counts(service)
+                status, reply = post(conn, body(3))
+            finally:
+                conn.close()
+            assert status == 200
+            assert reply == replies[1]
+            assert json.loads(reply)["cached"] is True
+            assert rise(before, counts(service)) == {
+                "hits": 1, "misses": 0, "from_cache": 1, "computed": 0,
+                "assignments": 1, "lru_hits": 1, "lookups": 1, "latency": 1,
+            }
+
+    def test_spill_hit_is_read_off_the_loop(self, tmp_path):
+        service = DeadlineAssignmentService(
+            cache_size=2, cache_dir=tmp_path / "spill"
+        )
+        with serve_in_process(service) as frontend:
+            conn = http.client.HTTPConnection(*frontend.address, timeout=30)
+            try:
+                first = [post(conn, body(0))[1] for _ in range(2)][1]
+                digest = json.loads(first)["digest"]
+                # Evict body 0's digest from memory; the memo keeps it.
+                service.assign_dict(json.loads(body(1)))
+                service.assign_dict(json.loads(body(2)))
+                assert digest not in service.cache
+                readers: list[int] = []
+                load = service.cache.spill.load
+
+                def recording(key):
+                    readers.append(threading.get_ident())
+                    return load(key)
+
+                service.cache.spill.load = recording
+                status, reply = post(conn, body(0))
+            finally:
+                conn.close()
+            assert (status, reply) == (200, first)
+            assert readers
+            assert frontend._thread.ident not in readers
 
 
 class TestMemoBound:

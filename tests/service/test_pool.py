@@ -1,9 +1,12 @@
-"""Pooled-topology tests: worker pool, asyncio front end, backpressure.
+"""Topology tests: worker pool, asyncio front end, backpressure, drain.
 
 The pooled service's correctness gate is *equivalence*: byte-identical
-``/assign`` bodies and matching metric totals against the in-process
-single server, plus the same 429/drain guarantees
-``tests/service/test_concurrency.py`` pins for the thread path.
+``/assign`` bodies and matching metric totals against the front end
+over an in-process backend and against a reference
+``DeadlineAssignmentService``, plus the same 429/drain guarantees
+``tests/service/test_concurrency.py`` pins for the in-process path.
+Front-end behaviour that does not depend on the backend (drain,
+``Expect: 100-continue``, ``Content-Length``) is checked on both.
 Workers are real spawned processes, so counts stay small — one or two
 workers per fixture — to keep the suite fast on single-CPU hosts.
 """
@@ -23,12 +26,18 @@ import pytest
 from repro.errors import ServiceOverloadError, ValidationError
 from repro.service import (
     DeadlineAssignmentService,
+    InProcessBackend,
     PooledFrontend,
     WorkerPool,
-    create_server,
 )
+from repro.service.server import assign_error, checked_length
 
-from .conftest import chain_request, non_finite_request
+from .conftest import (
+    chain_request,
+    non_finite_request,
+    scrape,
+    serve_in_process,
+)
 
 
 def distinct_body(i: int, **extra) -> bytes:
@@ -59,6 +68,29 @@ def post_assign(
         conn.close()
 
 
+def totals(series: dict[str, float]) -> dict[str, float]:
+    """The topology-equivalence totals of one scrape."""
+    return {
+        "computed": series.get('repro_assignments_total{source="computed"}', 0),
+        "coalesced": series.get(
+            'repro_assignments_total{source="coalesced"}', 0
+        ),
+        "cache_hits": series.get("repro_cache_hits_total", 0),
+    }
+
+
+def reference_answer(
+    service: DeadlineAssignmentService, body: bytes
+) -> tuple[int, bytes | dict]:
+    """*service*'s answer to *body*: ``(200, reply bytes)``, or a
+    failure's :func:`assign_error` status and document."""
+    try:
+        return 200, service.assign_body(body)
+    except Exception as exc:  # noqa: BLE001 - mapped like the front end
+        status, doc, _kind = assign_error(exc)
+        return status, doc
+
+
 @pytest.fixture(scope="module")
 def pooled():
     """One 2-worker pooled front end shared by the equivalence tests."""
@@ -69,16 +101,15 @@ def pooled():
 
 
 class TestPooledEquivalence:
-    """Pooled responses are byte-identical to the single process's."""
+    """Pooled responses are byte-identical to the in-process topology's."""
 
     def test_assign_bodies_bit_identical(self, pooled):
-        service = DeadlineAssignmentService(cache_size=256)
-        server = create_server("127.0.0.1", 0, service)
-        single = threading.Thread(target=server.serve_forever, daemon=True)
-        single.start()
-        shost, sport = server.server_address[:2]
+        reference = DeadlineAssignmentService(cache_size=256)
         phost, pport = pooled.address
-        try:
+        pooled_before = totals(scrape(phost, pport))
+        local_service = DeadlineAssignmentService(cache_size=256)
+        with serve_in_process(local_service) as local:
+            shost, sport = local.address
             # Distinct workloads, a duplicate replay, an invalid
             # request, and an invalid-graph request — every branch of
             # the response contract.
@@ -103,6 +134,9 @@ class TestPooledEquivalence:
                 assert p_status == s_status
                 assert p_body == s_body
                 replies.append(json.loads(s_body))
+                status, want = reference_answer(reference, body)
+                assert s_status == status
+                assert (s_body if status == 200 else replies[-1]) == want
             *_, second, third, equal, admit_1, admit_2 = replies
             assert replies[1]["cached"] is False
             assert second == third == {**replies[1], "cached": True}
@@ -110,10 +144,14 @@ class TestPooledEquivalence:
             assert equal == {**replies[2], "cached": True}
             app_ids = [r["admission"]["app_id"] for r in (admit_1, admit_2)]
             assert app_ids == ["app-1", "app-2"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close(timeout=5.0)
+            # A sequential replay books the same totals on both
+            # topologies (every request lands on pool worker 0).
+            local_totals = totals(scrape(shost, sport))
+        pooled_after = totals(scrape(phost, pport))
+        pooled_totals = {
+            key: pooled_after[key] - pooled_before[key] for key in pooled_after
+        }
+        assert pooled_totals == local_totals
 
     def test_non_finite_number_is_400(self, pooled):
         host, port = pooled.address
@@ -245,21 +283,7 @@ class TestPooledEquivalence:
             frontend.close(timeout=10.0)
 
     def test_metrics_totals_aggregate_across_processes(self, pooled):
-        host, port = pooled.address
-        conn = http.client.HTTPConnection(host, port, timeout=30)
-        try:
-            conn.request("GET", "/metrics")
-            response = conn.getresponse()
-            assert response.status == 200
-            text = response.read().decode()
-        finally:
-            conn.close()
-        series = {}
-        for line in text.splitlines():
-            if line.startswith("#"):
-                continue
-            name, _, value = line.rpartition(" ")
-            series[name] = float(value)
+        series = scrape(*pooled.address)
         computed = series.get('repro_assignments_total{source="computed"}', 0)
         cache = series.get('repro_assignments_total{source="cache"}', 0)
         coalesced = series.get(
@@ -288,21 +312,19 @@ def raw_exchange(host: str, port: int, request: bytes) -> tuple[int, bytes]:
 
 
 class TestContentLength:
-    """Both stacks refuse a bad ``Content-Length`` alike, then close."""
+    """Both backends refuse a bad ``Content-Length`` alike, then close."""
 
     def test_bad_lengths_are_refused_on_both_stacks(self, pooled):
-        server = create_server("127.0.0.1", 0)
-        single = threading.Thread(target=server.serve_forever, daemon=True)
-        single.start()
-        stacks = [server.server_address[:2], pooled.address]
         cases = {
             "-1": (413, {"error": "request body too large"}),
             "1099511627776": (413, {"error": "request body too large"}),
             "abc": (400, {"error": "invalid Content-Length"}),
         }
-        try:
+        with serve_in_process() as local:
+            stacks = [local.address, pooled.address]
             for path in ("/assign", "/fabric/lease"):
                 for value, (status, doc) in cases.items():
+                    assert checked_length(value) == (0, (status, doc))
                     request = (
                         f"POST {path} HTTP/1.1\r\nHost: test\r\n"
                         f"Content-Length: {value}\r\n\r\n"
@@ -317,11 +339,58 @@ class TestContentLength:
                     assert conn.getresponse().status == 200
                 finally:
                     conn.close()
+
+
+@pytest.fixture(params=["in-process", "pool"])
+def backend(request):
+    """A fresh backend of each kind (the pool with one worker)."""
+    return InProcessBackend() if request.param == "in-process" else WorkerPool(1)
+
+
+class TestFrontEndProtocol:
+    """Drain and ``Expect: 100-continue``, on both backends."""
+
+    def test_idle_keep_alive_client_does_not_delay_close(self, backend):
+        frontend = PooledFrontend(backend)
+        frontend.start(timeout=120.0)
+        conn = http.client.HTTPConnection(*frontend.address, timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()  # the connection stays open, idle
+            tasks = list(frontend._conns)
+            assert tasks
+            started = time.monotonic()
+            frontend.close(timeout=5.0)
+            assert time.monotonic() - started < 1.0
         finally:
-            server.shutdown()
-            server.server_close()
-            server.service.close(timeout=5.0)
-            single.join(10.0)
+            conn.close()
+        assert all(task.done() for task in tasks)
+        assert not frontend._conns
+        assert backend._closed
+
+    def test_expect_100_continue(self, backend):
+        with PooledFrontend(backend) as frontend:
+            body = distinct_body(5)
+            head = (
+                "POST /assign HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "Expect: 100-continue\r\n\r\n"
+            ).encode()
+            with socket.create_connection(frontend.address, timeout=10) as sock:
+                sock.sendall(head)
+                sock.settimeout(1.0)
+                interim = b""
+                while not interim.endswith(b"\r\n\r\n"):
+                    chunk = sock.recv(65536)
+                    assert chunk, "connection closed before 100 Continue"
+                    interim += chunk
+                assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+                sock.settimeout(30.0)
+                sock.sendall(body)
+                reply = sock.makefile("rb").readline()
+            assert reply.startswith(b"HTTP/1.1 200 ")
 
 
 class TestPooledBackpressure:

@@ -135,8 +135,9 @@ class TestNonFiniteResponse:
         status, body = get(base, "/healthz")
         assert status == 200
         assert json.loads(body) == {"status": "ok"}
-        # The failure was counted as what it was, not as a success.
-        metrics = server.service.metrics
+        # The failure was counted as what it was, not as a success (by
+        # the front end, which counts errors and HTTP requests).
+        metrics = server.metrics
         assert metrics.errors.value(kind="non_finite_json") == 1.0
         assert metrics.requests.value(endpoint="assign", status="500") == 1.0
         assert metrics.requests.value(endpoint="assign", status="200") == 0.0

@@ -1,25 +1,37 @@
 """End-to-end tests of the deadline-assignment service and HTTP layer."""
 
+import http.client
 import json
 import math
 import os
+import random
+import statistics
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.core.slicing import distribute_deadlines
-from repro.graph import chain_graph, graph_from_dict
-from repro.service import DeadlineAssignmentService, create_server
+from repro.graph import chain_graph, graph_from_dict, graph_to_dict
+from repro.rng import make_rng
+from repro.service import DeadlineAssignmentService
 from repro.system import identical_platform
-from repro.system.platform import platform_from_dict
+from repro.system.platform import platform_from_dict, platform_to_dict
+from repro.workload import WorkloadParams, generate_workload
 
-from .conftest import chain_request, non_finite_request
+from .conftest import (
+    chain_request,
+    non_finite_request,
+    scrape,
+    serve_in_process,
+)
 
 
 @pytest.fixture
@@ -30,15 +42,9 @@ def service():
 
 @pytest.fixture
 def http_server():
-    server = create_server(port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield server, f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    server.service.close()
-    thread.join(timeout=5)
+    with serve_in_process() as frontend:
+        host, port = frontend.address
+        yield frontend, f"http://{host}:{port}"
 
 
 def post(base: str, path: str, doc) -> tuple[int, dict]:
@@ -286,6 +292,86 @@ class TestVecFlushTier:
                 assert have == want
 
 
+def workload_bodies(count: int) -> list[bytes]:
+    """Distinct mid-size workloads (40 tasks), one request body each."""
+    params = WorkloadParams(m=4, n_tasks_range=(40, 40))
+    bodies = []
+    for seed in range(count):
+        workload = generate_workload(params, make_rng(seed))
+        doc = {
+            "graph": graph_to_dict(workload.graph),
+            "platform": platform_to_dict(workload.platform),
+            "metric": "ADAPT-L",
+        }
+        bodies.append(json.dumps(doc).encode())
+    return bodies
+
+
+def drive(address, bodies: list[bytes], clients: int) -> list[float]:
+    """POST every body from *clients* keep-alive connections at once;
+    returns each request's latency in seconds."""
+
+    def client(chunk: list[bytes]) -> list[float]:
+        latencies = []
+        conn = http.client.HTTPConnection(*address, timeout=60)
+        try:
+            for body in chunk:
+                start = time.perf_counter()
+                conn.request("POST", "/assign", body=body)
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+                latencies.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        return latencies
+
+    chunks = [bodies[i::clients] for i in range(clients)]
+    with ThreadPoolExecutor(max_workers=clients) as pool:
+        return [t for ts in pool.map(client, chunks) for t in ts]
+
+
+class TestLoad:
+    """Concurrent clients on the in-process front end: every miss
+    computes once, replays are hits, and the counters add up."""
+
+    def test_cold_misses_then_warm_hits(self):
+        bodies = workload_bodies(16)
+        service = DeadlineAssignmentService(cache_size=4096)
+        with serve_in_process(service) as frontend:
+            host, port = frontend.address
+            cold = drive(frontend.address, bodies, clients=4)
+            stats = service.cache.stats()
+            assert stats.misses == len(bodies) and stats.hits == 0
+            _, text = get(f"http://{host}:{port}", "/metrics")
+            for line in (
+                'repro_requests_total{endpoint="assign",status="200"} 16',
+                "repro_cache_misses_total 16",
+                "repro_assign_latency_seconds_count 16",
+            ):
+                assert line in text.decode()
+            warm = drive(frontend.address, bodies, clients=4)
+            assert service.cache.stats().hits == len(bodies)
+            assert service.metrics.assign_latency.count == 2 * len(bodies)
+        assert statistics.median(warm) < statistics.median(cold)
+
+    def test_duplicate_heavy_traffic_coalesces(self):
+        total, clients = 96, 8
+        distinct = total // 16
+        bodies = (workload_bodies(distinct) * (total // distinct + 1))[:total]
+        random.Random(2026).shuffle(bodies)
+        with serve_in_process() as frontend:
+            drive(frontend.address, bodies, clients)
+            series = scrape(*frontend.address)
+        computed = series['repro_assignments_total{source="computed"}']
+        coalesced = series.get('repro_assignments_total{source="coalesced"}', 0)
+        hits = series["repro_cache_hits_total"]
+        # Each distinct workload computes at least once; more than
+        # distinct + clients would mean in-flight duplicates recomputed.
+        assert distinct <= computed <= distinct + clients
+        assert computed + coalesced + hits == total
+
+
 _SERVE_IMPORTS = """
 import json, sys
 import repro.__main__
@@ -296,13 +382,16 @@ service = repro.service.server.DeadlineAssignmentService()
 reply = json.loads(service.assign_body(sys.stdin.buffer.read()))
 assert reply["format"] == "repro.assign-response/1", reply
 assert "numpy" not in sys.modules, "a repro serve process imported NumPy"
+assert "http.server" not in sys.modules, "a repro serve process imported http.server"
 """
 
 
 class TestServeProcessImports:
     def test_serve_process_does_not_import_numpy(self):
         """A ``repro serve`` process answers ``/assign`` without NumPy,
-        which only the experiment harness and workload generator use."""
+        which only the experiment harness and workload generator use,
+        and without ``http.server``: the asyncio front end is its only
+        HTTP stack."""
         src = str(Path(repro.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-c", _SERVE_IMPORTS],

@@ -97,11 +97,11 @@ class TestSubcommands:
     def test_serve_rejects_negative_backpressure_settings(
         self, flag, value, capsys, monkeypatch
     ):
-        import repro.service
+        from repro.service import PooledFrontend
 
         def must_not_bind(*args, **kwargs):
             raise AssertionError(f"serve bound a socket despite {flag} {value}")
 
-        monkeypatch.setattr(repro.service, "create_server", must_not_bind)
+        monkeypatch.setattr(PooledFrontend, "start", must_not_bind)
         assert main(["serve", "--workers", "1", flag, value]) == 2
         assert f"error: {flag} must be at least 0" in capsys.readouterr().err

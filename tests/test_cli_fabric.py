@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main, store_main, sweep_main
+from repro.experiments.config import load_spec
+from repro.experiments.runner import run_experiment
 from repro.store import TrialStore
 
 
@@ -103,3 +112,70 @@ class TestSweepCLI:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "0 completed over 0 leases" in out
+
+
+#: A two-point, two-series sweep small enough to serve in a test.
+TINY_SWEEP = {
+    "name": "tiny-served",
+    "title": "served sweep",
+    "x": {"field": "workload.m", "values": [2, 3]},
+    "series": [
+        {"label": "PURE", "set": {"metric": "PURE"}},
+        {"label": "ADAPT-L", "set": {"metric": "ADAPT-L"}},
+    ],
+    "base": {
+        "workload.n_tasks_range": [12, 16],
+        "workload.depth_range": [4, 6],
+    },
+}
+
+
+class TestSweepServe:
+    def test_served_sweep_drained_by_a_connected_worker(self, tmp_path):
+        """``repro sweep --serve --workers 0`` waits for remote workers; a
+        ``repro sweep --connect`` worker drains it, ``/metrics`` shows
+        the queue meanwhile, and the result equals ``run_experiment``'s
+        at the same chunk size."""
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(TINY_SWEEP))
+        out = tmp_path / "out"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        coordinator = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro", "sweep",
+                "--config", str(config),
+                "--trials", "4", "--seed", "5", "--chunk-size", "2",
+                "--store", str(tmp_path / "s"),
+                "--serve", "--port", "0", "--workers", "0",
+                "--poll", "0.05", "--out", str(out),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            banner = coordinator.stdout.readline()
+            match = re.search(r"http://[0-9.]+:\d+", banner)
+            assert match, banner + coordinator.stderr.read()
+            url = match.group(0)
+            with urllib.request.urlopen(f"{url}/metrics", timeout=30) as r:
+                text = r.read().decode()
+            assert 'repro_fabric_units{state="pending"}' in text
+            assert sweep_main(["--connect", url, "--poll", "0.05"]) == 0
+            stdout, stderr = coordinator.communicate(timeout=120)
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.communicate()
+        assert coordinator.returncode == 0, stderr
+        assert "fabric:" in stdout
+        served = json.loads((out / "tiny-served.json").read_text())
+        single = run_experiment(
+            load_spec(config), trials=4, seed=5, jobs=1, chunk_size=2
+        ).to_dict()
+        served.pop("elapsed_seconds")
+        single.pop("elapsed_seconds")
+        assert json.dumps(served, sort_keys=True) == json.dumps(
+            single, sort_keys=True
+        )
