@@ -4,7 +4,7 @@ PYTHON ?= python
 TRIALS ?= 1024
 JOBS ?=
 
-.PHONY: install test bench bench-smoke bench-runner bench-cache bench-fabric cache-smoke kernel-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
+.PHONY: install test bench bench-smoke cache-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -21,29 +21,15 @@ bench:
 bench-smoke:
 	python3 -m bench --smoke
 
-bench-runner:
-	PYTHONPATH=src $(PYTHON) scripts/bench_runner.py
-
-# Cold/warm/delta timings of the content-addressed trial store; writes
-# BENCH_cache.json and fails if warm is not >= 5x faster than cold or
-# cached results are not bit-identical to uncached ones.
-bench-cache:
-	PYTHONPATH=src $(PYTHON) scripts/bench_cache.py
-
 # Tiny sweep twice through the CLI --cache path; the second run must be
 # served 100% from the store with a byte-identical report.
 cache-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/cache_smoke.py
 
-# Tiny sweep through the CLI with REPRO_KERNEL=0 and =1 (and with
-# --engine paired-ref); all reports must be byte-identical — the
-# compiled kernel's oracle contract at the CLI boundary.
-kernel-smoke:
-	PYTHONPATH=src $(PYTHON) scripts/kernel_smoke.py
-
 # Vectorized-tier smoke: REPRO_VEC=1 CLI report byte-identical to the
-# reference, the NumPy-absent fallback byte-identical too, and the
-# batched stage pipeline over its smoke speedup floor.
+# --engine paired-ref reference, the NumPy-absent fallback
+# byte-identical too, and the batched stage pipeline over its smoke
+# speedup floor.
 vec-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/vec_smoke.py
 
@@ -54,15 +40,6 @@ vec-smoke:
 # free.
 fabric-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/fabric_smoke.py
-
-# Fabric overhead/protocol/scaling benchmark; writes BENCH_fabric.json.
-# Gated: workers=1 inline overhead <= 1.15x the single-process
-# baseline, journaled-queue protocol throughput over its floor,
-# bit-identity everywhere, resume free.  The workers=N speedup is
-# recorded, not gated (CI boxes vary; single-CPU hosts record
-# "skipped: single-cpu").
-bench-fabric:
-	PYTHONPATH=src $(PYTHON) scripts/bench_fabric.py
 
 # cProfile hotspot tables of the trial hot path, compiled kernel vs
 # string-keyed reference — where the next optimisation should go.

@@ -11,11 +11,13 @@ boundary:
 * both runs print byte-identical reports (the numbers a cached run
   serves are exactly the numbers the cold run computed).
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation.  Extra arguments
+pass through to both CLI runs — ``--engine paired-ref`` smokes the
+reference pipeline.
 
 Usage::
 
-    PYTHONPATH=src python scripts/cache_smoke.py
+    PYTHONPATH=src python scripts/cache_smoke.py [--engine paired-ref]
     make cache-smoke
 """
 
@@ -35,7 +37,7 @@ _CACHE_LINE = re.compile(
 )
 
 
-def run_once(store: Path) -> tuple[str, int, int]:
+def run_once(store: Path, extra: list[str]) -> tuple[str, int, int]:
     """One CLI run; returns (report text, restored, computed)."""
     proc = subprocess.run(
         [
@@ -50,6 +52,7 @@ def run_once(store: Path) -> tuple[str, int, int]:
             "1",
             "--cache",
             str(store),
+            *extra,
         ],
         capture_output=True,
         text=True,
@@ -74,12 +77,12 @@ def run_once(store: Path) -> tuple[str, int, int]:
     return "\n".join(report_lines), hits, misses
 
 
-def main() -> int:
+def main(extra: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="cache-smoke-") as tmp:
         store = Path(tmp) / "store"
-        cold_report, cold_hits, cold_misses = run_once(store)
+        cold_report, cold_hits, cold_misses = run_once(store, extra)
         print(f"cold run: {cold_hits} restored / {cold_misses} computed")
-        warm_report, warm_hits, warm_misses = run_once(store)
+        warm_report, warm_hits, warm_misses = run_once(store, extra)
         print(f"warm run: {warm_hits} restored / {warm_misses} computed")
 
     failures = []
@@ -104,4 +107,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -104,18 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=32,
-        help="trials per worker unit (default 32; results are invariant)",
+        help="trials per worker unit (default 32; success counts, ratios, "
+        "intervals and the CSV never depend on it, the mean laxity and "
+        "lateness fields are bit-identical only at equal --chunk-size)",
     )
     parser.add_argument(
         "--engine",
-        choices=("paired", "paired-ref", "percell"),
+        choices=("paired", "paired-ref"),
         default="paired",
         help="execution engine: 'paired' generates each workload once per "
         "sweep point and judges it with every series (default); "
         "'paired-ref' is the same engine pinned to the string-keyed "
         "reference pipeline instead of the compiled kernel (the oracle; "
-        "see also REPRO_KERNEL=0); 'percell' is the historical "
-        "one-unit-per-cell engine (results are bit-identical either way)",
+        "results are bit-identical either way)",
     )
     parser.add_argument(
         "--cache",

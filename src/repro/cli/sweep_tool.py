@@ -14,9 +14,12 @@ Remote worker (any host that can reach the coordinator)::
     repro sweep --connect http://coordinator:8078 --workers 3
 
 The merged result is bit-identical to a single-process
-``repro experiment`` run; killed workers are survived via lease
-expiry, and re-running the same sweep against the same store resumes
-instead of recomputing (see :mod:`repro.fabric`).
+``repro experiment`` run at the same ``--chunk-size`` (the default
+chunk sizes differ; success counts, ratios, intervals and the CSV
+never depend on it, the mean laxity and lateness fields do); killed
+workers are survived via lease expiry, and re-running the same sweep
+against the same store resumes instead of recomputing (see
+:mod:`repro.fabric`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "coordinator shards (cell, seed-chunk) units into a durable "
             "queue over a shared result store; workers lease, compute, "
             "and commit them.  Results are bit-identical to "
-            "single-process 'repro experiment' runs."
+            "single-process 'repro experiment' runs at the same "
+            "--chunk-size; success counts, ratios, intervals and the CSV "
+            "never depend on it."
         ),
     )
     parser.add_argument(
@@ -78,7 +83,9 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="trials per work unit (default: auto — sized to fill the "
-        "vectorized kernel's batch lanes; results are invariant)",
+        "vectorized kernel's batch lanes; success counts, ratios, "
+        "intervals and the CSV never depend on it, the mean laxity and "
+        "lateness fields are bit-identical only at equal --chunk-size)",
     )
     parser.add_argument(
         "--batch",

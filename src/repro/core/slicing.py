@@ -96,14 +96,14 @@ def distribute_deadlines(
         workload) pair.  All must describe *graph* exactly; results are
         identical either way.
     compiled / kernel:
-        Compiled-kernel controls.  ``kernel=True`` forces the
-        integer-indexed fast path (``repro.kernel``), ``False`` forces
-        the string-keyed reference, ``None`` (default) follows the
-        ``REPRO_KERNEL`` environment switch.  The fast path only
-        engages for the four stock metrics (exact types) and is
-        bit-identical to the reference; ``compiled`` optionally injects
-        a prebuilt :class:`~repro.kernel.compiled.CompiledWorkload` so
-        repeat callers skip recompilation.
+        Compiled-kernel controls.  ``kernel=False`` forces the
+        string-keyed reference; otherwise (``None``, the default, or
+        ``True``) the integer-indexed fast path (``repro.kernel``)
+        runs.  The fast path only engages for the four stock metrics
+        (exact types) and is bit-identical to the reference;
+        ``compiled`` optionally injects a prebuilt
+        :class:`~repro.kernel.compiled.CompiledWorkload` so repeat
+        callers skip recompilation.
 
     Returns
     -------
@@ -121,12 +121,8 @@ def distribute_deadlines(
     # Compiled-kernel fast path: exact stock metric types only, so any
     # subclass with a custom sharing rule always takes the reference
     # implementation below.  Bit-identical by construction (enforced by
-    # the kernel property suite and the kernel-smoke CI job).
-    if kernel is None:
-        from ..kernel.trial import kernel_enabled
-
-        kernel = kernel_enabled()
-    if kernel:
+    # the kernel property suite and the bench's paired-ref gate).
+    if kernel is not False:
         from ..kernel import KERNEL_METRIC_TYPES
 
         if type(metric_obj) in KERNEL_METRIC_TYPES:

@@ -23,16 +23,14 @@ there.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..analysis.tables import format_table
 from ..errors import ExperimentError, ReproError
 from ..rng import derive_seed
-from .runner import CellResult, run_cell
+from .runner import CellResult, run_cell, run_tasks
 from .spec import TrialConfig
 
 __all__ = ["RobustnessResult", "run_robustness", "robustness_table"]
@@ -123,31 +121,8 @@ def run_robustness(
         for metric in metrics:
             trial_config = config_builder(conf, metric)
             for lo in range(0, trials, chunk_size):
-                units.append(
-                    ((ci, metric), trial_config, seeds[lo : lo + chunk_size])
-                )
-
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    partials: list[tuple[tuple[int, str], CellResult]] = []
-    if jobs <= 1 or len(units) == 1:
-        for key, cfg, seeds in units:
-            partials.append((key, run_cell(cfg, seeds)))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (key, pool.submit(run_cell, cfg, seeds))
-                for key, cfg, seeds in units
-            ]
-            for key, fut in futures:
-                try:
-                    partials.append((key, fut.result()))
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExperimentError(
-                        f"worker failed on cell {key}: {exc}"
-                    ) from exc
+                chunk = seeds[lo : lo + chunk_size]
+                units.append(((ci, metric), run_cell, (trial_config, chunk)))
 
     result = RobustnessResult(
         metrics=list(metrics),
@@ -155,7 +130,9 @@ def run_robustness(
         trials_per_cell=trials,
         seed=seed,
     )
-    for key, cell in partials:
+    for key, cell in run_tasks(units, jobs, what="cell"):
+        if isinstance(cell, ReproError):
+            raise cell
         if key in result.ratios:
             result.ratios[key] = result.ratios[key].merged(cell)
         else:

@@ -17,10 +17,7 @@ unit each seed's workload is generated once, its derived state
 maps, deadline assignments) is computed once on a
 :class:`~repro.experiments.context.TrialContext`, and every config is
 judged on that same workload — the paper's paired design (one fixed set
-of 1024 task graphs judged by every metric).  ``engine="percell"``
-instead gives every distinct cell chunk its own unit, regenerating the
-workload per series; it is kept for equivalence testing, and produces
-bit-identical cells because trial seeds never depend on the series.
+of 1024 task graphs judged by every metric).
 
 The planner can consult a persistent content-addressed result store
 (``run_experiment(cache=...)``, see :mod:`repro.store`): each
@@ -42,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..analysis.stats import BinomialEstimate
 from ..core.metrics import get_metric
@@ -52,12 +49,7 @@ from ..rng import derive_seed
 from ..sched.listsched import get_scheduler
 from ..store import StoreStats, TrialStore, store_key
 from ..system.interconnect import ContentionBus
-from ..kernel.trial import (
-    kernel_enabled,
-    kernel_supported,
-    run_trial_kernel,
-    run_trial_vec,
-)
+from ..kernel.trial import kernel_supported, run_trial_kernel, run_trial_vec
 from ..kernel.vec import batch_engages, vec_available, vec_mode
 from .context import TrialContext
 from .spec import ExperimentSpec, TrialConfig, TrialOutcome
@@ -77,10 +69,10 @@ __all__ = [
 
 #: Execution engines accepted by :func:`run_experiments`.
 #: ``"paired-ref"`` is the paired engine pinned to the string-keyed
-#: reference trial pipeline (the kernel's oracle); ``"paired"`` and
-#: ``"percell"`` use the compiled kernel whenever it is enabled and the
-#: config is inside its envelope — results are bit-identical either way.
-ENGINE_NAMES: tuple[str, ...] = ("paired", "paired-ref", "percell")
+#: reference trial pipeline (the kernel's oracle); ``"paired"`` uses the
+#: compiled kernel whenever the config is inside its envelope — results
+#: are bit-identical either way.
+ENGINE_NAMES: tuple[str, ...] = ("paired", "paired-ref")
 
 
 def run_trial(
@@ -98,24 +90,23 @@ def run_trial(
     here from *seed* — the outcome is identical either way, because the
     context only memoizes pure functions of the workload.
 
-    ``use_kernel`` pins the compiled fast path on (``True``) or off
-    (``False``); the default ``None`` defers to the ``REPRO_KERNEL``
-    environment switch.  ``use_vec`` likewise pins the vectorized tier
-    (default: the ``REPRO_VEC`` switch — in its default ``auto`` mode
-    this *single-trial* path stays scalar, because the vec win only
-    materializes across a seed batch; ``REPRO_VEC=1`` forces it on);
-    it engages only when NumPy is importable and silently falls through
-    to the compiled kernel otherwise.  Pinning ``use_kernel=False``
-    (the ``paired-ref`` oracle) disables the vectorized tier too — the
-    reference pipeline runs alone.  Every tier is bit-identical inside
-    its envelope, so the outcome never depends on these switches.
+    ``use_kernel=False`` pins the string-keyed reference pipeline (the
+    kernel's oracle, ``paired-ref``); otherwise the compiled fast path
+    runs whenever the config is inside its envelope.  ``use_vec`` pins
+    the vectorized tier (default: the ``REPRO_VEC`` switch — in its
+    default ``auto`` mode this *single-trial* path stays scalar,
+    because the vec win only materializes across a seed batch;
+    ``REPRO_VEC=1`` forces it on); it engages only when NumPy is
+    importable and silently falls through to the compiled kernel
+    otherwise.  Pinning ``use_kernel=False`` disables the vectorized
+    tier too — the reference pipeline runs alone.  Every tier is
+    bit-identical inside its envelope, so the outcome never depends on
+    these switches.
     """
     if context is None:
         context = TrialContext.from_seed(config.workload, seed)
-    use_k = use_kernel if use_kernel is not None else kernel_enabled()
-    use_v = use_vec if use_vec is not None else vec_mode() == "on"
-    if use_kernel is False:
-        use_v = False
+    use_k = use_kernel is not False
+    use_v = use_k and (use_vec if use_vec is not None else vec_mode() == "on")
     if use_v and vec_available() and kernel_supported(config):
         return run_trial_vec(config, context)
     if use_k and kernel_supported(config):
@@ -505,13 +496,13 @@ def run_experiment(
     (default: CPU count, clamped to the number of dispatched work units
     so small sweeps never spawn idle workers); ``jobs <= 1`` runs
     serially in-process, which is also the mode the test suite uses.
-    ``engine`` picks the work-unit shape: ``"paired"`` (default) judges
-    every series of a sweep point on one generated workload per seed;
-    ``"paired-ref"`` does the same on the reference pipeline;
-    ``"percell"`` is the historical one-unit-per-(x, series) engine.
-    Results are invariant to ``jobs`` and ``engine`` — cell for cell,
-    bit for bit — because trial seeds depend only on ``(seed, x_index,
-    trial_index)`` and every engine chunks the seed sequence
+    Every series of a sweep point is judged on one generated workload
+    per seed; ``engine`` picks the trial pipeline: ``"paired"``
+    (default) runs the compiled kernel, ``"paired-ref"`` the
+    string-keyed reference pipeline (the kernel's oracle).  Results are
+    invariant to ``jobs`` and ``engine`` — cell for cell, bit for bit —
+    because trial seeds depend only on ``(seed, x_index,
+    trial_index)`` and both engines chunk the seed sequence
     identically.  ``chunk_size`` changes only how the partial
     mean-laxity/lateness sums are grouped before merging, which can
     shift those two means by floating-point rounding (success counts
@@ -613,9 +604,8 @@ def iter_experiments(
     2. Within a unit the cells are deduplicated by
        :func:`cell_chunk_key`, the store's content address: a config
        that several experiments ask for is judged once.
-    3. Each unit is judged by one :func:`run_paired_cells` call
-       (``engine="percell"``: one unit per distinct cell chunk, judged
-       by :func:`run_cell`), on one process pool for the whole plan.
+    3. Each unit is judged by one :func:`run_paired_cells` call, on
+       one process pool for the whole plan.
     4. The partials scatter back to every ``(experiment, x, series)``
        that asked for them; each cell merges its chunks in seed order,
        the merge order of a single-spec run.
@@ -670,11 +660,7 @@ def iter_experiments(
                                 partials[key] = CellResult.from_dict(cached)
                                 continue
                             counts[e][1] += 1
-                        ukey = (
-                            key
-                            if engine == "percell"
-                            else (config.workload, xi, lo)
-                        )
+                        ukey = (config.workload, xi, lo)
                         unit = units.get(ukey)
                         if unit is None:
                             unit = units[ukey] = _Unit(chunk)
@@ -725,7 +711,15 @@ def iter_experiments(
             if done[e] is None and not waiting[e]:
                 finish(e)
         emitted = 0
-        for unit, judged in _run_units(list(units.values()), engine, jobs):
+        plan = list(units.values())
+        # "paired-ref" pins the reference pipeline (the kernel's oracle).
+        use_kernel = False if engine == "paired-ref" else None
+        tasks = [
+            (u, run_paired_cells, (unit.cells, unit.seeds, use_kernel))
+            for u, unit in enumerate(plan)
+        ]
+        for u, judged in run_tasks(tasks, jobs, what="unit"):
+            unit = plan[u]
             if isinstance(judged, ReproError):
                 for e in unit.users:
                     if done[e] is None:
@@ -799,43 +793,31 @@ def _resolve_jobs(jobs: int | None, n_units: int | None = None) -> int:
     return resolved
 
 
-def _judge(
-    engine: str, cells: list[tuple[str, TrialConfig]], seeds: list[int]
-) -> list[tuple[str, CellResult]]:
-    """The partials of one planned unit, under their cell keys."""
-    if engine == "percell":
-        ((key, config),) = cells
-        return [(key, run_cell(config, seeds))]
-    # "paired" defers to the REPRO_KERNEL switch per trial; "paired-ref"
-    # pins the reference pipeline (the kernel's oracle).
-    return run_paired_cells(
-        cells, seeds, False if engine == "paired-ref" else None
-    )
+def run_tasks(
+    tasks: Sequence[tuple[Any, Callable[..., Any], tuple]],
+    jobs: int | None,
+    what: str,
+) -> Iterator[tuple[Any, Any]]:
+    """Run ``(key, fn, args)`` tasks; yield ``(key, result)`` in task order.
 
-
-def _run_units(units: list[_Unit], engine: str, jobs: int | None):
-    """Judge *units* in plan order; yield ``(unit, partials)`` pairs.
-
-    A unit that raised a :class:`ReproError` yields the error in place
-    of its partials.  A single unit always runs inline: forking a pool
-    to judge one chunk costs more than the chunk (the warm-cache tail
-    of a resumed sweep hits this constantly).
+    A task that raised a :class:`ReproError` yields the error in place
+    of its result.  ``jobs`` resolves as in :func:`run_experiment`,
+    clamped to the task count; one worker runs every task inline, since
+    forking a pool for a single task costs more than the task (the
+    warm-cache tail of a resumed sweep hits this constantly).  Otherwise
+    the tasks share one interrupt-safe process pool (:func:`_run_pool`);
+    *what* names a task in a worker-failure message.
     """
-    workers = _resolve_jobs(jobs, len(units))
+    workers = _resolve_jobs(jobs, len(tasks))
     if workers <= 1:
-        for unit in units:
+        for key, fn, args in tasks:
             try:
-                judged = _judge(engine, unit.cells, unit.seeds)
+                result = fn(*args)
             except ReproError as exc:
-                judged = exc
-            yield unit, judged
+                result = exc
+            yield key, result
         return
-    tasks = (
-        (u, _judge, (engine, unit.cells, unit.seeds))
-        for u, unit in enumerate(units)
-    )
-    for u, judged in _run_pool(workers, tasks, what="unit"):
-        yield units[u], judged
+    yield from _run_pool(workers, tasks, what)
 
 
 def _run_pool(max_workers: int, tasks, what: str):
@@ -865,11 +847,14 @@ def _run_pool(max_workers: int, tasks, what: str):
                 result.__cause__ = exc
             yield key, result
     except BaseException:
+        # shutdown() only stops *queued* work, and only if its manager
+        # thread acts before the pool is collected; in-flight chunks
+        # would still run to completion (and block interpreter exit
+        # joining them).  Terminate the workers so Ctrl-C means now —
+        # listed first, because shutdown() forgets them.
+        procs = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
-        # shutdown() only stops *queued* work; in-flight chunks would
-        # still run to completion (and block interpreter exit joining
-        # them).  Terminate the workers so Ctrl-C means now.
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        for proc in procs:
             try:
                 proc.terminate()
             except (OSError, AttributeError):  # already reaped

@@ -13,15 +13,13 @@ sweeps with the same seed, so sweeps of different metrics are paired.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..errors import ExperimentError, ReproError
 from ..rng import derive_seed
-from .runner import CellResult, run_cell
+from .runner import CellResult, run_cell, run_tasks
 from .spec import TrialConfig
 
 __all__ = ["Sweep2DResult", "run_sweep2d", "heatmap"]
@@ -91,7 +89,7 @@ def run_sweep2d(
         raise ExperimentError("trials must be at least 1")
     start = time.perf_counter()
 
-    units: list[tuple[tuple[int, int], TrialConfig, list[int]]] = []
+    units = []
     for xi, x in enumerate(x_values):
         for yi, y in enumerate(y_values):
             config = config_for(x, y)
@@ -99,31 +97,8 @@ def run_sweep2d(
                 derive_seed(seed, xi, yi, t) for t in range(trials)
             ]
             for lo in range(0, trials, chunk_size):
-                units.append(
-                    ((xi, yi), config, seeds[lo : lo + chunk_size])
-                )
-
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    partials: list[tuple[tuple[int, int], CellResult]] = []
-    if jobs <= 1 or len(units) == 1:
-        for key, config, seeds in units:
-            partials.append((key, run_cell(config, seeds)))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (key, pool.submit(run_cell, config, seeds))
-                for key, config, seeds in units
-            ]
-            for key, fut in futures:
-                try:
-                    partials.append((key, fut.result()))
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExperimentError(
-                        f"worker failed on cell {key}: {exc}"
-                    ) from exc
+                chunk = seeds[lo : lo + chunk_size]
+                units.append(((xi, yi), run_cell, (config, chunk)))
 
     result = Sweep2DResult(
         title=title,
@@ -134,7 +109,9 @@ def run_sweep2d(
         trials_per_cell=trials,
         seed=seed,
     )
-    for key, cell in partials:
+    for key, cell in run_tasks(units, jobs, what="cell"):
+        if isinstance(cell, ReproError):
+            raise cell
         if key in result.cells:
             result.cells[key] = result.cells[key].merged(cell)
         else:

@@ -35,13 +35,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, MutableMapping
+from typing import Any, Callable, Mapping
 
 from ..errors import FabricError
 from ..experiments.runner import ExperimentResult, run_experiment
 from ..experiments.spec import ExperimentSpec
 from ..store import TrialStore
-from .queue import QueueSnapshot, WorkQueue
+from .queue import QueueSnapshot, WorkQueue, check_ttl
 from .transport import LocalTransport, write_units_file
 from .units import auto_chunk_size, extract_units, sweep_id, unit_is_stored
 from .worker import DEFAULT_BATCH, local_worker_entry, worker_loop
@@ -63,8 +63,7 @@ class SweepReport:
     workers_spawned: int
     elapsed_seconds: float
     #: Wall-clock split of this run, e.g. ``{"shard": ..., "execute":
-    #: ..., "merge": ...}`` from :func:`run_sweep`, optionally joined by
-    #: the inline worker's ``lease``/``compute``/``commit`` seconds.
+    #: ..., "merge": ...}`` from :func:`run_sweep`.
     phase_seconds: Mapping[str, float] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -119,8 +118,7 @@ class FabricCoordinator:
         batch: int = DEFAULT_BATCH,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if lease_ttl <= 0:
-            raise FabricError(f"lease_ttl must be positive, got {lease_ttl}")
+        check_ttl(lease_ttl)
         if batch < 1:
             raise FabricError(f"batch must be >= 1, got {batch}")
         if chunk_size is None:
@@ -198,18 +196,9 @@ class FabricCoordinator:
         return procs
 
     def run_inline(
-        self,
-        *,
-        poll: float = 0.2,
-        worker: str | None = None,
-        stats: MutableMapping[str, float] | None = None,
+        self, *, poll: float = 0.2, worker: str | None = None
     ) -> int:
-        """Drain the queue in this process (the worker-of-last-resort).
-
-        ``stats`` is handed through to the worker loop — the fabric
-        bench uses it to split the inline leg's wall clock into
-        lease/compute/commit seconds.
-        """
+        """Drain the queue in this process (the worker-of-last-resort)."""
         transport = LocalTransport(self.store, self.root)
         return worker_loop(
             transport,
@@ -217,7 +206,6 @@ class FabricCoordinator:
             lease_ttl=self.lease_ttl,
             poll=poll,
             batch=self.batch,
-            stats=stats,
         )
 
     def execute(

@@ -12,15 +12,15 @@ Routes (JSON in/out, errors as ``{"error": ...}`` with 4xx):
 
 ==========================  ==========================================
 ``POST /fabric/lease``      ``{worker, ttl?, max?}`` →
-                            ``{units, unit, finished}`` — up to ``max``
-                            unit payloads per call (batched leasing);
-                            ``unit`` carries the first payload for
-                            pre-batch clients
-``POST /fabric/complete``   ``{worker, units | unit, records}`` →
-                            ``{done}`` — one group commit for a whole
-                            batch: records append before any done mark
+                            ``{units, finished}`` — up to ``max`` unit
+                            payloads per call (batched leasing)
+``POST /fabric/complete``   ``{worker, units, records}`` →
+                            ``{done, appended, finished}`` — one group
+                            commit for a whole batch: records append
+                            before any done mark; ``done`` counts the
+                            units it newly marked done
 ``POST /fabric/heartbeat``  ``{worker, ttl?}`` → ``{extended}``
-``POST /fabric/release``    ``{worker, units | unit}`` → ``{}``
+``POST /fabric/release``    ``{worker, units}`` → ``{}``
 ``GET  /fabric/status``     → queue snapshot (counts, workers, finished)
 ==========================  ==========================================
 
@@ -112,6 +112,8 @@ class FabricEndpoint:
         return worker
 
     def _ttl_of(self, doc: dict[str, Any]) -> float:
+        """The request's TTL clamped into bounds (NaN stays NaN, which
+        the queue refuses)."""
         ttl = doc.get("ttl", self.coordinator.lease_ttl)
         try:
             ttl = float(ttl)
@@ -120,15 +122,12 @@ class FabricEndpoint:
         return min(max(ttl, _MIN_TTL), _MAX_TTL)
 
     def _units_of(self, doc: dict[str, Any]) -> list[str]:
-        """The unit ids a complete/release names (batch or legacy form)."""
-        if "units" in doc:
-            unit_ids = doc["units"]
-            if not isinstance(unit_ids, list) or not all(
-                isinstance(uid, str) for uid in unit_ids
-            ):
-                raise FabricError("'units' must be a list of unit ids")
-        else:
-            unit_ids = [doc.get("unit")]
+        """The unit ids a complete/release names."""
+        unit_ids = doc.get("units")
+        if not isinstance(unit_ids, list) or not all(
+            isinstance(uid, str) for uid in unit_ids
+        ):
+            raise FabricError("'units' must be a list of unit ids")
         for unit_id in unit_ids:
             if unit_id not in self._unit_keys:
                 raise FabricError(f"unknown unit {str(unit_id)[:12]!r}...")
@@ -143,16 +142,11 @@ class FabricEndpoint:
             raise FabricError(f"bad lease batch size {k!r}")
         unit_ids = self.queue.lease_batch(worker, min(k, _MAX_BATCH), ttl)
         if not unit_ids:
-            return 200, {
-                "units": [],
-                "unit": None,
-                "finished": self.queue.finished(),
-            }
+            return 200, {"units": [], "finished": self.queue.finished()}
         if self.metrics is not None:
             self.metrics.fabric_leases.inc(len(unit_ids), worker=worker)
         docs = [self._unit_docs[uid] for uid in unit_ids]
-        # "unit" duplicates the first payload for pre-batch clients.
-        return 200, {"units": docs, "unit": docs[0], "finished": False}
+        return 200, {"units": docs, "finished": False}
 
     def _complete(self, doc: dict[str, Any]) -> tuple[int, dict[str, Any]]:
         worker = self._worker_of(doc)
@@ -182,11 +176,8 @@ class FabricEndpoint:
                 self.metrics.fabric_completions.inc(transitions)
             if appended:
                 self.metrics.fabric_records.inc(appended)
-        # Legacy single-"unit" clients read "done" as a bool; batch
-        # clients get the transition count.
-        done: int | bool = transitions if "units" in doc else bool(transitions)
         return 200, {
-            "done": done,
+            "done": transitions,
             "appended": appended,
             "finished": self.queue.finished(),
         }

@@ -17,11 +17,11 @@ Every unit runs the same state machine::
 
 **Journaled commits.**  A state transition is an O(1) append of one
 JSON line to ``JOURNAL.jsonl`` under the :class:`~repro.store.FileLock`
-— not a rewrite of the whole manifest (the v1 format's whole-document
-commit made a sweep's queue I/O O(units²) in total).  The authoritative
-state is *snapshot + journal suffix*: each journal record carries a
-monotone sequence number ``q``, the snapshot records the last sequence
-folded into it, and every reader replays only the records with
+— not a rewrite of the whole manifest (a whole-document commit per
+transition would make a sweep's queue I/O O(units²) in total).  The
+authoritative state is *snapshot + journal suffix*: each journal record
+carries a monotone sequence number ``q``, the snapshot records the last
+sequence folded into it, and every reader replays only the records with
 ``q > snapshot.seq``.  Once the journal outgrows ``compact_bytes`` the
 holder of the lock compacts: it writes a fresh snapshot and truncates
 the journal (snapshot first, so a crash between the two steps merely
@@ -49,10 +49,10 @@ append, and *skips the commit entirely* when the worker holds no lease
 holder counts once, and the records they commit are content-addressed
 so double commits are no-ops.
 
-**Migration.**  A v1 whole-document ``MANIFEST.json`` loads and
-upgrades in place on first contact: the document becomes the v2
-snapshot (at sequence 0) and subsequent transitions append to a fresh
-journal — resume semantics, counters, and done units all carry over.
+Lease lifetimes must be positive and finite: a NaN or infinite expiry
+never compares as expired, so a dead holder's units would never be
+stolen.  A manifest in any format but :data:`QUEUE_FORMAT` (such as
+the pre-journal ``repro.fabric-queue/1``) is refused.
 
 Resume: re-creating a queue over an existing manifest with the same
 sweep id keeps every ``done`` unit (nothing is recomputed) and leaves
@@ -64,6 +64,7 @@ only happens when state is corrupted or mixed by hand.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -74,18 +75,25 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..errors import FabricError
 from ..store import FileLock
 
-__all__ = ["WorkQueue", "QueueSnapshot", "QUEUE_FORMAT", "QUEUE_FORMAT_V1"]
+__all__ = ["WorkQueue", "QueueSnapshot", "QUEUE_FORMAT", "check_ttl"]
 
 QUEUE_FORMAT = "repro.fabric-queue/2"
-#: The pre-journal whole-document format, still readable (upgraded in
-#: place on first contact).
-QUEUE_FORMAT_V1 = "repro.fabric-queue/1"
 
 _STATES = ("pending", "leased", "done")
 
 #: Journal size (bytes) past which the next mutation compacts the queue
 #: (snapshot rewrite + journal truncation, both under the lock).
 _DEFAULT_COMPACT_BYTES = 256 * 1024
+
+
+def check_ttl(ttl: float) -> None:
+    """Raise :class:`FabricError` unless ``0 < ttl < inf``.
+
+    NaN fails the chained test too, where a plain ``ttl <= 0`` check
+    would let it through.
+    """
+    if not 0 < ttl < math.inf:
+        raise FabricError(f"lease ttl must be positive and finite, got {ttl}")
 
 
 @dataclass(frozen=True)
@@ -263,21 +271,10 @@ class WorkQueue:
                 f"unreadable queue manifest {self.path}: {exc}"
             ) from exc
         fmt = doc.get("format")
-        if fmt == QUEUE_FORMAT_V1:
-            # In-place upgrade: the whole document *is* the snapshot —
-            # stamp it v2 at sequence 0 and persist, so every later
-            # transition appends instead of rewriting.  Any journal
-            # lying next to a v1 manifest is foreign state: drop it.
-            doc["format"] = QUEUE_FORMAT
-            doc["seq"] = 0
-            self._doc = doc
-            self._install_snapshot_locked()
-            return doc
         if fmt != QUEUE_FORMAT:
             raise FabricError(
                 f"queue manifest {self.path} has format {fmt!r}; this "
-                f"code reads {QUEUE_FORMAT!r} (or upgrades "
-                f"{QUEUE_FORMAT_V1!r})"
+                f"code reads {QUEUE_FORMAT!r}"
             )
         return doc
 
@@ -297,13 +294,9 @@ class WorkQueue:
             raise FabricError(f"no work queue at {self.root}") from None
         sig = (st.st_ino, st.st_mtime_ns, st.st_size)
         if self._doc is None or sig != self._snap_sig:
-            doc = self._load_snapshot()
-            self._doc = doc
+            self._doc = self._load_snapshot()
             self._journal_offset = 0
-            # _load_snapshot may itself have rewritten the file (the
-            # v1 upgrade path); record the identity we will trust.
-            st = os.stat(self.path)
-            self._snap_sig = (st.st_ino, st.st_mtime_ns, st.st_size)
+            self._snap_sig = sig
         self._replay_locked()
         return self._doc
 
@@ -465,6 +458,7 @@ class WorkQueue:
         """
         if k < 1:
             raise FabricError(f"lease batch size must be >= 1, got {k}")
+        check_ttl(ttl)
         now = self._clock()
         with self._mutex, self._lock:
             doc = self._sync_locked()
@@ -506,8 +500,9 @@ class WorkQueue:
 
         A worker holding no lease is a no-op — nothing changed, so
         nothing is read-modify-written and nothing touches the disk
-        beyond the sync itself.
+        beyond the sync itself.  A bad *ttl* raises even then.
         """
+        check_ttl(ttl)
         now = self._clock()
         with self._mutex, self._lock:
             doc = self._sync_locked()

@@ -17,10 +17,9 @@ Two ways for a worker to participate in a sweep:
 
 Both expose the same verbs — the batched ``lease_batch`` /
 ``complete_batch`` the worker loop drives (one lock acquisition or
-HTTP round trip per *batch* of units), their singular ``lease`` /
-``complete`` forms, ``heartbeat`` / ``release`` / ``finished``, and
-``stored`` (a pre-compute shortcut only the local transport can
-answer) — so :func:`repro.fabric.worker.worker_loop` is
+HTTP round trip per *batch* of units), ``heartbeat`` / ``release`` /
+``finished``, and ``stored`` (a pre-compute shortcut only the local
+transport can answer) — so :func:`repro.fabric.worker.worker_loop` is
 transport-agnostic.  Group commit keeps the per-unit ordering
 contract batch-wide: *all* of a batch's records land in the store
 before *any* of its units is marked done.
@@ -133,10 +132,6 @@ class LocalTransport:
             units.append(unit_from_dict(doc))
         return units
 
-    def lease(self, worker: str, ttl: float) -> WorkUnit | None:
-        batch = self.lease_batch(worker, 1, ttl)
-        return batch[0] if batch else None
-
     def heartbeat(self, worker: str, ttl: float) -> None:
         self.queue.heartbeat(worker, ttl)
 
@@ -154,14 +149,6 @@ class LocalTransport:
         # store skips present keys) — never a done unit without records.
         self.store.put_many(records)
         self.queue.complete_batch(worker, [u.unit_id for u in units])
-
-    def complete(
-        self,
-        worker: str,
-        unit: WorkUnit,
-        records: list[tuple[str, Any]],
-    ) -> None:
-        self.complete_batch(worker, [unit], records)
 
     def release(self, worker: str, unit: WorkUnit) -> None:
         self.queue.release(worker, unit.unit_id)
@@ -248,15 +235,7 @@ class HTTPTransport:
         if reply is None:
             return []
         self._finished = bool(reply.get("finished"))
-        unit_docs = reply.get("units")
-        if unit_docs is None:
-            # Pre-batch coordinator: a single "unit" field (or null).
-            unit_docs = [reply["unit"]] if reply.get("unit") else []
-        return [unit_from_dict(doc) for doc in unit_docs]
-
-    def lease(self, worker: str, ttl: float) -> WorkUnit | None:
-        batch = self.lease_batch(worker, 1, ttl)
-        return batch[0] if batch else None
+        return [unit_from_dict(doc) for doc in reply.get("units", ())]
 
     def heartbeat(self, worker: str, ttl: float) -> None:
         self._request(
@@ -281,17 +260,9 @@ class HTTPTransport:
             },
         )
 
-    def complete(
-        self,
-        worker: str,
-        unit: WorkUnit,
-        records: list[tuple[str, Any]],
-    ) -> None:
-        self.complete_batch(worker, [unit], records)
-
     def release(self, worker: str, unit: WorkUnit) -> None:
         self._request(
-            "/fabric/release", {"worker": worker, "unit": unit.unit_id}
+            "/fabric/release", {"worker": worker, "units": [unit.unit_id]}
         )
 
     def finished(self) -> bool:

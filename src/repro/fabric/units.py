@@ -212,10 +212,11 @@ def compute_unit(
     (:func:`~repro.experiments.runner.run_paired_cells` on the same
     cells and seed block), so the committed records are the ones a
     single-process run would have produced.  ``use_kernel``/``use_vec``
-    pin the fast-path tiers; the defaults defer to the worker's
-    ``REPRO_KERNEL``/``REPRO_VEC`` environment — either way the records
-    are bit-identical, a unit is free to be judged by a vectorized
-    worker and merged next to scalar ones.
+    pin the fast-path tiers (``use_kernel=False`` is the reference
+    oracle; ``use_vec`` defaults to the worker's ``REPRO_VEC``
+    environment) — either way the records are bit-identical, a unit is
+    free to be judged by a vectorized worker and merged next to scalar
+    ones.
     """
     partials = run_paired_cells(
         list(unit.cells), list(unit.seeds), use_kernel, use_vec

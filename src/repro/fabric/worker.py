@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, MutableMapping, Protocol
+from typing import Any, Protocol
 
+from .queue import check_ttl
 from .units import WorkUnit, compute_units
 
 __all__ = ["DEFAULT_BATCH", "worker_loop", "local_worker_entry"]
@@ -49,15 +50,11 @@ DEFAULT_BATCH = 16
 
 
 class Transport(Protocol):  # pragma: no cover - typing aid
-    def lease(self, worker: str, ttl: float) -> WorkUnit | None: ...
     def lease_batch(
         self, worker: str, k: int, ttl: float
     ) -> list[WorkUnit]: ...
     def heartbeat(self, worker: str, ttl: float) -> None: ...
     def stored(self, unit: WorkUnit) -> bool: ...
-    def complete(
-        self, worker: str, unit: WorkUnit, records: list[tuple[str, Any]]
-    ) -> None: ...
     def complete_batch(
         self,
         worker: str,
@@ -105,7 +102,6 @@ def worker_loop(
     use_kernel: bool | None = None,
     use_vec: bool | None = None,
     max_units: int | None = None,
-    stats: MutableMapping[str, float] | None = None,
 ) -> int:
     """Drain the sweep through *transport*; returns units completed.
 
@@ -113,24 +109,19 @@ def worker_loop(
     trip; ``max_units`` bounds this worker's total share (tests and
     canary runs) — the loop otherwise runs until
     :meth:`Transport.finished`.  ``use_kernel``/``use_vec`` pin the
-    fast-path tiers per worker; the defaults defer to the inherited
-    ``REPRO_KERNEL``/``REPRO_VEC`` environment, and records commit
-    bit-identically either way.  ``stats``, when given, accumulates the
-    per-phase wall-clock split — ``lease_seconds`` (protocol: leasing),
-    ``compute_seconds`` (trial arithmetic), ``commit_seconds``
-    (protocol: records + done marks) and ``units`` — the breakdown the
-    fabric bench reports.
+    fast-path tiers per worker (``use_kernel=False`` is the reference
+    oracle; ``use_vec`` defaults to the inherited ``REPRO_VEC``
+    environment), and records commit bit-identically either way.
+    A ``lease_ttl`` that is not positive and finite raises
+    :class:`~repro.errors.FabricError` before anything is leased.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
+    check_ttl(lease_ttl)
     completed = 0
     while max_units is None or completed < max_units:
         k = batch if max_units is None else min(batch, max_units - completed)
-        t0 = time.perf_counter()
         units = transport.lease_batch(worker, k, lease_ttl)
-        t1 = time.perf_counter()
-        if stats is not None:
-            stats["lease_seconds"] = stats.get("lease_seconds", 0.0) + (t1 - t0)
         if not units:
             if transport.finished():
                 break
@@ -142,19 +133,8 @@ def worker_loop(
                 # holder died after commit, before the done mark) are
                 # completed without recomputation.
                 todo = [u for u in units if not transport.stored(u)]
-                t2 = time.perf_counter()
                 records = compute_units(todo, use_kernel, use_vec)
-                t3 = time.perf_counter()
             transport.complete_batch(worker, units, records)
-            t4 = time.perf_counter()
-            if stats is not None:
-                stats["compute_seconds"] = (
-                    stats.get("compute_seconds", 0.0) + (t3 - t2)
-                )
-                stats["commit_seconds"] = (
-                    stats.get("commit_seconds", 0.0) + (t4 - t3)
-                )
-                stats["units"] = stats.get("units", 0) + len(units)
         except BaseException:
             for unit in units:
                 try:
@@ -177,10 +157,10 @@ def local_worker_entry(
     """Process entry point of one ``repro sweep --workers N`` worker.
 
     Spawn-safe: arguments are plain strings/floats, every object is
-    reconstructed here.  The kernel and vectorized-tier choices
-    deliberately defer to the ``REPRO_KERNEL``/``REPRO_VEC``
-    environment the worker inherited, exactly like a single-process
-    run's pool workers.
+    reconstructed here.  The worker runs the compiled kernel, and its
+    vectorized-tier choice deliberately defers to the ``REPRO_VEC``
+    environment it inherited, exactly like a single-process run's pool
+    workers.
     """
     from .transport import LocalTransport
 

@@ -5,7 +5,7 @@ Compiles a generated workload once into contiguous arrays
 evaluation, Algorithm SLICING, EDF list scheduling — against them,
 bit-identical to the string-keyed reference implementation in
 ``repro.core`` / ``repro.sched`` (which stays available as the oracle
-via ``engine="paired-ref"`` or ``REPRO_KERNEL=0``).
+via ``engine="paired-ref"``, ``use_kernel=False`` or ``kernel=False``).
 
 A third tier, :mod:`repro.kernel.vec`, lifts the weight stage, the
 slicing tail ranking, and a lockstep seed-batch EDF engine onto NumPy
@@ -22,12 +22,7 @@ from .compiled import CompiledWorkload, compile_workload
 from .edf import KernelSchedule, kernel_schedule_edf
 from .metrics import KERNEL_METRIC_TYPES, kernel_weights
 from .slicing import KernelAssignment, kernel_slice
-from .trial import (
-    kernel_enabled,
-    kernel_supported,
-    run_trial_kernel,
-    run_trial_vec,
-)
+from .trial import kernel_supported, run_trial_kernel, run_trial_vec
 from .vec import (
     VEC_MIN_LANES,
     vec_available,
@@ -45,7 +40,6 @@ __all__ = [
     "kernel_schedule_edf",
     "KERNEL_METRIC_TYPES",
     "kernel_weights",
-    "kernel_enabled",
     "kernel_supported",
     "run_trial_kernel",
     "run_trial_vec",

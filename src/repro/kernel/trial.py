@@ -1,4 +1,4 @@
-"""Kernel trial execution: dispatch, support predicate, env switch.
+"""Kernel trial execution: dispatch and support predicate.
 
 The kernel replaces the string-keyed reference pipeline for the
 configurations the Monte Carlo experiments actually sweep — relaxed
@@ -6,17 +6,13 @@ locality, the plain EDF list scheduler, the paper's four metrics.
 Everything else (strict locality's clustering pre-assignment, the
 SL/FIFO/LLF scheduler variants, custom metric objects) falls back to
 the reference implementation, which remains the oracle the kernel is
-tested bit-identical against.
-
-``REPRO_KERNEL=0`` disables the kernel globally (the environment is
-read per call, so tests and the CLI can flip it without re-imports);
-``engine="paired-ref"`` in :func:`repro.experiments.runner.run_experiment`
-forces the reference path for one run regardless of the environment.
+tested bit-identical against.  ``engine="paired-ref"`` in
+:func:`repro.experiments.runner.run_experiment` (``use_kernel=False``
+per trial) forces the reference path for one run.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 from ..core.estimation import WCET_AVG, WCET_MAX, WCET_MIN, get_estimator
@@ -31,21 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..experiments.spec import TrialConfig, TrialOutcome
 
 __all__ = [
-    "kernel_enabled",
     "kernel_supported",
     "run_trial_kernel",
     "run_trial_vec",
 ]
-
-
-def kernel_enabled() -> bool:
-    """Whether the kernel fast path is globally enabled.
-
-    Controlled by the ``REPRO_KERNEL`` environment variable: unset or
-    any value but ``"0"`` means enabled.  Read on every call so a test
-    or CLI invocation can flip it at runtime.
-    """
-    return os.environ.get("REPRO_KERNEL", "1") != "0"
 
 
 def kernel_supported(config: "TrialConfig") -> bool:

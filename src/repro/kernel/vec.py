@@ -131,9 +131,8 @@ def vec_mode() -> str:
     NumPy is importable and the batch is at least :data:`VEC_MIN_LANES`
     wide; the per-trial path stays scalar.  ``"1"`` forces **on**
     (every path vectorizes, any width — the pre-auto opt-in behavior);
-    any other value, e.g. ``"0"``, opts **off**.  Read per call (like
-    ``REPRO_KERNEL``) so tests and the CLI can flip it at runtime
-    without re-imports.
+    any other value, e.g. ``"0"``, opts **off**.  Read per call so
+    tests and the CLI can flip it at runtime without re-imports.
     """
     raw = os.environ.get("REPRO_VEC")
     if raw is None or raw == "":

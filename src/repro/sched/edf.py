@@ -72,14 +72,11 @@ class EdfListScheduler:
         ``compiled`` optionally injects the workload's
         :class:`~repro.kernel.compiled.CompiledWorkload`; the stock
         scheduler then runs the integer-indexed kernel loop
-        (bit-identical, subject to ``REPRO_KERNEL``).  Subclasses that
-        override placement hooks always take the reference loop.
+        (bit-identical).  Subclasses that override placement hooks
+        always take the reference loop.
         """
         if compiled is not None and type(self) is EdfListScheduler:
-            from ..kernel.trial import kernel_enabled
-
-            if kernel_enabled():
-                return self._schedule_kernel(compiled, assignment, comm)
+            return self._schedule_kernel(compiled, assignment, comm)
 
         comm_model = comm if comm is not None else platform.comm
         comm_model.reset()

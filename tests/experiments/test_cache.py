@@ -51,7 +51,7 @@ def result_text(spec, *, jobs=1, engine="paired", cache=None):
 
 
 class TestCacheInvariance:
-    @pytest.mark.parametrize("engine", ["paired", "percell"])
+    @pytest.mark.parametrize("engine", ["paired", "paired-ref"])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_off_cold_warm_identical(self, tmp_path, engine, jobs):
         spec = small_spec()
@@ -75,7 +75,7 @@ class TestCacheInvariance:
         """Chunk keys ignore jobs and engine, so any run warms every other."""
         spec = small_spec()
         store = TrialStore(tmp_path / "s")
-        cold, _ = result_text(spec, jobs=1, engine="percell", cache=store)
+        cold, _ = result_text(spec, jobs=1, engine="paired-ref", cache=store)
         warm, warm_stats = result_text(
             spec, jobs=4, engine="paired", cache=store
         )

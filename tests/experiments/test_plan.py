@@ -127,7 +127,6 @@ def test_all_figures_generate_judge_and_slice_each_distinct_item_once(monkeypatc
     import repro.kernel.slicing as slicing
     import repro.workload.generator as generator
 
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     monkeypatch.delenv("REPRO_VEC", raising=False)
     generated = count_calls(monkeypatch, generator, "generate_workload")
     judged = count_calls(monkeypatch, runner, "run_trial")

@@ -48,30 +48,44 @@ class TestEndpoint:
         status, reply = endpoint.handle(
             "POST", "/fabric/lease", {"worker": "w"}
         )
-        assert status == 200 and reply["unit"] is not None
-        unit_doc = reply["unit"]
+        assert status == 200 and len(reply["units"]) == 1
+        assert set(reply) == {"units", "finished"}
         from repro.fabric import unit_from_dict
 
-        unit = unit_from_dict(unit_doc)
+        unit = unit_from_dict(reply["units"][0])
         records = compute_unit(unit)
         status, reply = endpoint.handle(
             "POST",
             "/fabric/complete",
             {
                 "worker": "w",
-                "unit": unit.unit_id,
+                "units": [unit.unit_id],
                 "records": [[k, v] for k, v in records],
             },
         )
-        assert status == 200 and reply["done"] is True
+        assert status == 200 and reply["done"] == 1
         assert reply["appended"] == len(records)
         # Idempotent: a second completion transitions nothing.
         status, reply = endpoint.handle(
             "POST",
             "/fabric/complete",
-            {"worker": "other", "unit": unit.unit_id, "records": []},
+            {"worker": "other", "units": [unit.unit_id], "records": []},
         )
-        assert reply["done"] is False
+        assert reply["done"] == 0
+
+    @pytest.mark.parametrize("route", ["/fabric/complete", "/fabric/release"])
+    def test_singular_unit_form_is_refused(self, coordinator, route):
+        endpoint = coordinator.endpoint()
+        _status, reply = endpoint.handle(
+            "POST", "/fabric/lease", {"worker": "w"}
+        )
+        unit_id = reply["units"][0]["unit"]
+        with pytest.raises(FabricError, match="'units' must be a list"):
+            endpoint.handle(
+                "POST", route, {"worker": "w", "unit": unit_id, "records": []}
+            )
+        snap = coordinator.queue.snapshot()
+        assert (snap.leased, snap.done) == (1, 0)
 
     def test_complete_rejects_foreign_keys(self, coordinator):
         endpoint = coordinator.endpoint()
@@ -82,7 +96,7 @@ class TestEndpoint:
                 "/fabric/complete",
                 {
                     "worker": "w",
-                    "unit": a.unit_id,
+                    "units": [a.unit_id],
                     "records": [[b.keys[0], {"x": 1}]],
                 },
             )
@@ -95,14 +109,14 @@ class TestEndpoint:
             endpoint.handle(
                 "POST",
                 "/fabric/complete",
-                {"worker": "w", "unit": "nope", "records": []},
+                {"worker": "w", "units": ["nope"], "records": []},
             )
         unit = coordinator.units[0]
         with pytest.raises(FabricError, match="records"):
             endpoint.handle(
                 "POST",
                 "/fabric/complete",
-                {"worker": "w", "unit": unit.unit_id, "records": "x"},
+                {"worker": "w", "units": [unit.unit_id], "records": "x"},
             )
 
     def test_status_heartbeat_release_and_404(self, coordinator):
@@ -117,9 +131,10 @@ class TestEndpoint:
         status, _body = endpoint.handle(
             "POST",
             "/fabric/release",
-            {"worker": "w", "unit": coordinator.units[0].unit_id},
+            {"worker": "w", "units": [coordinator.units[0].unit_id]},
         )
         assert status == 200
+        assert coordinator.queue.snapshot().leased == 0
         status, _body = endpoint.handle("GET", "/fabric/nope", None)
         assert status == 404
 
@@ -132,6 +147,29 @@ class TestEndpoint:
         with pytest.raises(FabricError, match="ttl"):
             endpoint.handle(
                 "POST", "/fabric/lease", {"worker": "w", "ttl": "soon"}
+            )
+
+    @pytest.mark.parametrize("ttl", ["nan", float("nan")])
+    def test_nan_ttl_is_refused_on_lease_and_heartbeat(
+        self, coordinator, ttl
+    ):
+        """A NaN expiry never compares as expired: the unit would be
+        leased forever and never stolen from a dead holder."""
+        endpoint = coordinator.endpoint()
+        with pytest.raises(FabricError, match="positive and finite"):
+            endpoint.handle(
+                "POST", "/fabric/lease", {"worker": "w", "ttl": ttl}
+            )
+        assert coordinator.queue.snapshot().leased == 0
+        endpoint.handle("POST", "/fabric/lease", {"worker": "w", "max": 2})
+        with pytest.raises(FabricError, match="positive and finite"):
+            endpoint.handle(
+                "POST", "/fabric/heartbeat", {"worker": "w", "ttl": ttl}
+            )
+        # Refused before the no-lease shortcut, too.
+        with pytest.raises(FabricError, match="positive and finite"):
+            endpoint.handle(
+                "POST", "/fabric/heartbeat", {"worker": "idle", "ttl": ttl}
             )
 
     def test_metrics_provider_and_counters(self, coordinator):
@@ -176,16 +214,32 @@ class TestHTTPIntegration:
         _coordinator, url = served
         transport = HTTPTransport(url)
         with pytest.raises(FabricError, match="rejected"):
-            transport.complete(
+            transport.complete_batch(
                 "w",
-                type(
-                    "U", (), {"unit_id": "bogus", "keys": ()}
-                )(),
+                [type("U", (), {"unit_id": "bogus", "keys": ()})()],
                 [],
             )
         cold = HTTPTransport("http://127.0.0.1:9")  # nothing listens here
         with pytest.raises(FabricError, match="cannot reach"):
-            cold.lease("w", 1.0)
+            cold.lease_batch("w", 1, 1.0)
+
+    def test_singular_unit_body_answers_400(self, served):
+        import urllib.error
+        import urllib.request
+
+        coordinator, url = served
+        body = json.dumps(
+            {
+                "worker": "w",
+                "unit": coordinator.units[0].unit_id,
+                "records": [],
+            }
+        ).encode()
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(f"{url}/fabric/complete", body, timeout=5)
+        with exc.value as reply:
+            assert reply.code == 400
+            assert "'units' must be a list" in reply.read().decode()
 
     def test_status_and_metrics_over_http(self, served):
         import urllib.request
@@ -204,5 +258,5 @@ class TestHTTPIntegration:
         assert transport.finished() is False  # establishes contact
         # Coordinator vanishes (server torn down by another path).
         transport.base_url = "http://127.0.0.1:9"
-        assert transport.lease("w", 1.0) is None
+        assert transport.lease_batch("w", 1, 1.0) == []
         assert transport.finished() is True

@@ -4,8 +4,8 @@ Pins the crash-safety clauses the journaled commit path introduced:
 torn-tail healing after a SIGKILLed mid-append writer, exactly-once
 replay of a record whose newline never landed, snapshot-compaction
 equivalence, batched verb idempotency under duplicate / out-of-order
-completes, the heartbeat no-op fast path, and the in-place v1→v2
-manifest upgrade.
+completes, the heartbeat no-op fast path, and the refusal of a
+pre-journal v1 manifest.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import FabricError
 from repro.fabric import WorkQueue
-from repro.fabric.queue import QUEUE_FORMAT, QUEUE_FORMAT_V1
+from repro.fabric.queue import QUEUE_FORMAT
 
 IDS = ["u-a", "u-b", "u-c", "u-d"]
 
@@ -211,81 +211,30 @@ class TestHeartbeatNoop:
         assert journal.stat().st_size > size
 
 
-class TestV1Upgrade:
-    def _write_v1(self, tmp_path, units):
+class TestV1Manifest:
+    def test_v1_manifest_is_refused_naming_both_formats(self, tmp_path):
+        """The pre-journal format is not read, upgraded or overwritten."""
         root = tmp_path / "q"
-        root.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "format": QUEUE_FORMAT_V1,
-            "sweep": "sweep-1",
-            "units": units,
-            "leases": 3,
-            "completions": 1,
-            "reissues": 1,
-            "workers": {"old-worker": 900.0},
-        }
-        (root / "MANIFEST.json").write_text(json.dumps(doc))
-        return root
-
-    def test_v1_manifest_upgrades_in_place_and_resumes(self, tmp_path):
-        self._write_v1(
-            tmp_path,
+        root.mkdir()
+        manifest = root / "MANIFEST.json"
+        v1 = json.dumps(
             {
-                "u-a": {
-                    "state": "done",
-                    "worker": None,
-                    "expires": 0.0,
-                    "attempts": 2,
-                },
-                "u-b": {
-                    "state": "pending",
-                    "worker": None,
-                    "expires": 0.0,
-                    "attempts": 1,
-                },
-                "u-c": {
-                    "state": "pending",
-                    "worker": None,
-                    "expires": 0.0,
-                    "attempts": 0,
-                },
-                "u-d": {
-                    "state": "pending",
-                    "worker": None,
-                    "expires": 0.0,
-                    "attempts": 0,
-                },
-            },
+                "format": "repro.fabric-queue/1",
+                "sweep": "sweep-1",
+                "units": {},
+                "leases": 0,
+                "completions": 0,
+                "reissues": 0,
+                "workers": {},
+            }
         )
-        clock = Clock()
-        q = make_queue(tmp_path, clock)  # resume over the v1 manifest
-        snap = q.snapshot()
-        assert (snap.done, snap.pending) == (1, 3)  # done carried over
-        assert snap.completions == 1 and snap.reissues == 1
-        doc = json.loads((tmp_path / "q" / "MANIFEST.json").read_text())
-        assert doc["format"] == QUEUE_FORMAT
-        assert q.lease("w", ttl=10.0) == "u-b"  # not the done unit
-
-    def test_v1_leased_units_expire_and_are_stolen(self, tmp_path):
-        self._write_v1(
-            tmp_path,
-            {
-                "u-a": {
-                    "state": "leased",
-                    "worker": "dead",
-                    "expires": 950.0,
-                    "attempts": 1,
-                },
-            },
-        )
-        clock = Clock()  # now=1000 > expires=950
-        q = WorkQueue.create(
-            tmp_path / "q", "sweep-1", ["u-a"], clock=clock
-        )
-        assert q.lease("thief", ttl=10.0) == "u-a"
-        assert q.snapshot().reissues == 2  # v1 carried 1, the steal adds 1
-
-    def test_v1_foreign_sweep_still_refused(self, tmp_path):
-        self._write_v1(tmp_path, {})
-        with pytest.raises(FabricError, match="belongs to sweep"):
-            WorkQueue.create(tmp_path / "q", "other-sweep", [], clock=Clock())
+        manifest.write_text(v1)
+        for open_queue in (
+            lambda: WorkQueue.create(root, "sweep-1", [], clock=Clock()),
+            lambda: WorkQueue(root, clock=Clock()).snapshot(),
+        ):
+            with pytest.raises(FabricError) as exc:
+                open_queue()
+            assert "'repro.fabric-queue/1'" in str(exc.value)
+            assert repr(QUEUE_FORMAT) in str(exc.value)
+        assert manifest.read_text() == v1

@@ -33,6 +33,18 @@ def make_queue(tmp_path, clock, ids=IDS, done=()):
 
 
 class TestLease:
+    @pytest.mark.parametrize("ttl", [0.0, -1.0, float("nan"), float("inf")])
+    def test_ttl_must_be_positive_and_finite(self, tmp_path, ttl):
+        clock = Clock()
+        q = make_queue(tmp_path, clock)
+        with pytest.raises(FabricError, match="positive and finite"):
+            q.lease_batch("w", 1, ttl)
+        q.lease("w", ttl=10.0)
+        with pytest.raises(FabricError, match="positive and finite"):
+            q.heartbeat("w", ttl)
+        snap = q.snapshot()
+        assert (snap.pending, snap.leased) == (2, 1)
+
     def test_fifo_then_none(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.errors import FabricError
 from repro.experiments.runner import run_experiment
 from repro.fabric import FabricCoordinator, LocalTransport, run_sweep
 from repro.store import TrialStore
@@ -128,6 +129,21 @@ class TestRunSweep:
 
 
 class TestCoordinator:
+    @pytest.mark.parametrize("ttl", [0.0, float("nan"), float("inf")])
+    def test_lease_ttl_must_be_positive_and_finite(
+        self, spec_module, tmp_path, ttl
+    ):
+        with pytest.raises(FabricError, match="positive and finite"):
+            FabricCoordinator(
+                spec_module,
+                trials=TRIALS,
+                seed=SEED,
+                chunk_size=CHUNK,
+                store=tmp_path / "s",
+                lease_ttl=ttl,
+            )
+        assert not (tmp_path / "s").exists()
+
     def test_expired_lease_is_finished_by_inline_fallback(
         self, spec_module, tmp_path
     ):
@@ -142,7 +158,7 @@ class TestCoordinator:
         try:
             # A phantom worker takes one unit and dies silently.
             transport = LocalTransport(coordinator.store, coordinator.root)
-            assert transport.lease("phantom", 0.3) is not None
+            assert transport.lease_batch("phantom", 1, 0.3)
             time.sleep(0.4)
             coordinator.run_inline(poll=0.05)
             snap = coordinator.queue.snapshot()

@@ -1,7 +1,7 @@
-"""The kernel's switches: REPRO_KERNEL, engine="paired-ref", inline units.
+"""The kernel's one switch, engine="paired-ref", and inline units.
 
-Covers the operational contract around the fast path: the environment
-switch is read per call and round-trips through the CLI with
+Covers the operational contract around the fast path: ``--engine
+paired`` and ``--engine paired-ref`` round-trip through the CLI with
 byte-identical reports, the ``paired-ref`` engine pins a run to the
 reference pipeline, and a single dispatched work unit never pays for a
 process pool (the warm-cache tail regression).
@@ -16,7 +16,6 @@ import repro.experiments.runner as runner_mod
 from repro.cli import main
 from repro.experiments import ExperimentSpec, TrialConfig, run_experiment
 from repro.experiments.runner import _resolve_jobs
-from repro.kernel.trial import kernel_enabled
 from repro.workload import WorkloadParams
 
 
@@ -43,41 +42,39 @@ def _doc_of(result) -> str:
 
 
 class TestEnvSwitch:
-    def test_kernel_enabled_reads_env_per_call(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert kernel_enabled()
-        monkeypatch.setenv("REPRO_KERNEL", "0")
-        assert not kernel_enabled()
-        monkeypatch.setenv("REPRO_KERNEL", "1")
-        assert kernel_enabled()
+    """The oracle switch at the CLI boundary: ``--engine`` alone."""
 
-    def test_cli_roundtrip_is_byte_identical(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """REPRO_KERNEL=0 and =1 CLI runs print and write the same report."""
+    def test_cli_roundtrip_is_byte_identical(self, tmp_path, capsys):
+        """--engine paired and paired-ref print and write the same report."""
         reports = {}
         docs = {}
-        for flag in ("0", "1"):
-            monkeypatch.setenv("REPRO_KERNEL", flag)
-            out_dir = tmp_path / f"kernel-{flag}"
+        for engine in ("paired", "paired-ref"):
+            out_dir = tmp_path / engine
             code = main(
                 [
                     "fig2",
                     "--trials", "2",
                     "--seed", "11",
                     "--jobs", "1",
+                    "--engine", engine,
                     "--out", str(out_dir),
                 ]
             )
             assert code == 0
-            reports[flag] = re.sub(
+            reports[engine] = re.sub(
                 r"elapsed=\S+", "elapsed=*", capsys.readouterr().out
             )
             doc = json.loads((out_dir / "fig2.json").read_text())
             doc.pop("elapsed_seconds", None)
-            docs[flag] = json.dumps(doc, sort_keys=True)
-        assert reports["0"] == reports["1"]
-        assert docs["0"] == docs["1"]
+            docs[engine] = json.dumps(doc, sort_keys=True)
+        assert reports["paired"] == reports["paired-ref"]
+        assert docs["paired"] == docs["paired-ref"]
+
+    def test_percell_engine_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig2", "--engine", "percell"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'percell'" in capsys.readouterr().err
 
 
 class TestPairedRefEngine:
@@ -114,10 +111,9 @@ class _PoisonedPool:
 class TestSingleUnitInline:
     """One dispatched unit must run inline in the parent, pool-free."""
 
-    @pytest.mark.parametrize("engine", ["paired", "percell"])
+    @pytest.mark.parametrize("engine", ["paired", "paired-ref"])
     def test_cold_single_unit_runs_inline(self, engine, monkeypatch, tmp_path):
-        series = ("PURE",) if engine == "percell" else ("PURE", "ADAPT-L")
-        spec = _tiny_spec(series)
+        spec = _tiny_spec()
         baseline = run_experiment(
             spec, trials=6, seed=7, jobs=1, chunk_size=6, engine=engine
         )

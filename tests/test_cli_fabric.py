@@ -16,7 +16,11 @@ import repro
 from repro.cli import main, store_main, sweep_main
 from repro.experiments.config import load_spec
 from repro.experiments.runner import run_experiment
+from repro.fabric import FabricCoordinator
+from repro.service import DeadlineAssignmentService
 from repro.store import TrialStore
+
+from .service.conftest import serve_in_process
 
 
 @pytest.fixture
@@ -77,6 +81,49 @@ class TestSweepCLI:
         assert sweep_main(["fig2"]) == 2
         assert main(["sweep", "fig99", "--store", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("ttl", ["nan", "inf"])
+    def test_bad_lease_ttl_fails_before_any_lease(self, tmp_path, capsys, ttl):
+        """A NaN or infinite TTL would make leases that never expire."""
+        store = tmp_path / "s"
+        code = sweep_main(
+            [
+                "fig2",
+                "--trials", "2",
+                "--workers", "0",
+                "--store", str(store),
+                "--lease-ttl", ttl,
+            ]
+        )
+        assert code != 0
+        assert "error: lease ttl must be positive and finite" in (
+            capsys.readouterr().err
+        )
+        assert not (store / "fabric").exists()
+        # The same TTL on a remote worker fails it before it leases.
+        spec = load_spec(_write_tiny_sweep(tmp_path))
+        coordinator = FabricCoordinator(
+            spec, trials=4, seed=5, chunk_size=2, store=store
+        )
+        try:
+            with serve_in_process(
+                DeadlineAssignmentService(cache_size=4), fabric=coordinator
+            ) as frontend:
+                host, port = frontend.address
+                code = sweep_main(
+                    [
+                        "--connect", f"http://{host}:{port}",
+                        "--lease-ttl", ttl,
+                        "--poll", "0.05",
+                    ]
+                )
+            assert code != 0
+            assert "error: lease ttl must be positive and finite" in (
+                capsys.readouterr().err
+            )
+            assert coordinator.queue.snapshot().leases == 0
+        finally:
+            coordinator.close()
+
     def test_inline_sweep_writes_outputs(self, tmp_path, capsys):
         code = main(
             [
@@ -130,14 +177,19 @@ TINY_SWEEP = {
 }
 
 
+def _write_tiny_sweep(tmp_path) -> Path:
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY_SWEEP))
+    return config
+
+
 class TestSweepServe:
     def test_served_sweep_drained_by_a_connected_worker(self, tmp_path):
         """``repro sweep --serve --workers 0`` waits for remote workers; a
         ``repro sweep --connect`` worker drains it, ``/metrics`` shows
         the queue meanwhile, and the result equals ``run_experiment``'s
         at the same chunk size."""
-        config = tmp_path / "tiny.json"
-        config.write_text(json.dumps(TINY_SWEEP))
+        config = _write_tiny_sweep(tmp_path)
         out = tmp_path / "out"
         src = str(Path(repro.__file__).resolve().parents[1])
         coordinator = subprocess.Popen(
