@@ -4,7 +4,7 @@ PYTHON ?= python
 TRIALS ?= 1024
 JOBS ?=
 
-.PHONY: install test bench bench-smoke cache-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
+.PHONY: install test bench bench-smoke bench-gates cache-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -20,6 +20,12 @@ bench:
 # service reference answers), no numbers kept.
 bench-smoke:
 	python3 -m bench --smoke
+
+# The full-size golden gates: two reps each of `figures` and `sweep`,
+# then the figures@16 and sweep@256 golden digests, the paired-ref
+# re-run and the sweep-unit recompute (about 40 s on 2 CPUs).
+bench-gates:
+	python3 -m bench --workloads figures,sweep --seconds 0
 
 # Tiny sweep twice through the CLI --cache path; the second run must be
 # served 100% from the store with a byte-identical report.

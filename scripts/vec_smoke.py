@@ -122,7 +122,6 @@ def vec_leg(
         for cw in cws:
             cw._est_lists.clear()
             cw._weight_lists.clear()
-            cw._succ_w_masters.clear()
 
     def kernel_side():
         clear()

@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..analysis.tables import format_table
 from ..errors import ExperimentError, ReproError
 from ..rng import derive_seed
-from .runner import CellResult, run_cell, run_tasks
+from .runner import CellResult, check_run_options, run_cell, run_tasks
 from .spec import TrialConfig
 
 __all__ = ["RobustnessResult", "run_robustness", "robustness_table"]
@@ -111,8 +111,7 @@ def run_robustness(
         raise ExperimentError("duplicate metrics")
     if not configurations:
         raise ExperimentError("need at least one configuration")
-    if trials < 1:
-        raise ExperimentError("trials must be at least 1")
+    check_run_options(trials, jobs, chunk_size)
     start = time.perf_counter()
 
     units = []

@@ -624,7 +624,11 @@ def iter_experiments(
     once and attributed to the experiment that planned it first, so the
     per-experiment ``cache_stats`` add up to the run's store activity.
     """
-    _check_options(trials, jobs, chunk_size, engine)
+    check_run_options(trials, jobs, chunk_size)
+    if engine not in ENGINE_NAMES:
+        raise ExperimentError(
+            f"unknown engine {engine!r}; choose from {ENGINE_NAMES}"
+        )
     store, owned = _resolve_store(cache)
     start = time.perf_counter()
     try:
@@ -748,9 +752,13 @@ def iter_experiments(
             store.close()
 
 
-def _check_options(
-    trials: int, jobs: int | None, chunk_size: int, engine: str
-) -> None:
+def check_run_options(trials: int, jobs: int | None, chunk_size: int) -> None:
+    """Reject a bad trial count, worker count or chunk size.
+
+    One set of :class:`ExperimentError` messages for every runner:
+    :func:`iter_experiments` (behind ``run_experiment(s)``),
+    ``run_robustness`` and ``run_sweep2d``.
+    """
     if trials < 1:
         raise ExperimentError("trials must be at least 1")
     if jobs is not None and jobs < 1:
@@ -762,10 +770,6 @@ def _check_options(
     if chunk_size < 1:
         raise ExperimentError(
             f"chunk_size must be at least 1, got {chunk_size}"
-        )
-    if engine not in ENGINE_NAMES:
-        raise ExperimentError(
-            f"unknown engine {engine!r}; choose from {ENGINE_NAMES}"
         )
 
 

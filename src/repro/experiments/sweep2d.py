@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 from ..errors import ExperimentError, ReproError
 from ..rng import derive_seed
-from .runner import CellResult, run_cell, run_tasks
+from .runner import CellResult, check_run_options, run_cell, run_tasks
 from .spec import TrialConfig
 
 __all__ = ["Sweep2DResult", "run_sweep2d", "heatmap"]
@@ -85,8 +85,7 @@ def run_sweep2d(
     """Evaluate ``config_for(x, y)`` over the full grid."""
     if not x_values or not y_values:
         raise ExperimentError("both sweep axes need at least one value")
-    if trials < 1:
-        raise ExperimentError("trials must be at least 1")
+    check_run_options(trials, jobs, chunk_size)
     start = time.perf_counter()
 
     units = []

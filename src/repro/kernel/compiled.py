@@ -79,10 +79,10 @@ class CompiledWorkload:
         "out_deadline",
         "proc_ids",
         "proc_rank",
+        "_anc",
         "_psets",
         "_est_lists",
         "_weight_lists",
-        "_succ_w_masters",
         "_vec",
     )
 
@@ -227,10 +227,10 @@ class CompiledWorkload:
                 out_deadline[j] = bound
         self.out_deadline = out_deadline
 
+        self._anc: list[int] | None = None
         self._psets: list[int] | None = None
         self._est_lists: dict[str, list[float]] = {}
         self._weight_lists: dict[tuple, list[float]] = {}
-        self._succ_w_masters: dict[int, tuple] = {}
         # Lazily built NumPy twin of the flat arrays (padded successor/
         # predecessor matrices, dense WCET view) — owned and memoized by
         # :func:`repro.kernel.vec.vec_arrays`; ``None`` until the
@@ -238,6 +238,25 @@ class CompiledWorkload:
         self._vec = None
 
     # ------------------------------------------------------------------
+    def ancestor_masks(self) -> list[int]:
+        """Per task, the bitmask of its ancestors *including itself*.
+
+        One pass over ``topo`` (O(n + E) mask ORs), built on first use
+        and shared: the slicing kernel narrows its invalidation sweeps
+        with these masks, and :meth:`parallel_set_sizes` counts them.
+        """
+        anc = self._anc
+        if anc is None:
+            anc = [0] * self.n
+            pred_ps = self.pred_ps
+            for i in self.topo:
+                mask = 1 << i
+                for p, _sz in pred_ps[i]:
+                    mask |= anc[p]
+                anc[i] = mask
+            self._anc = anc
+        return anc
+
     def parallel_set_sizes(self) -> list[int]:
         """``|Ψ_i|`` per task (lazy bitset closure; exact integers).
 
@@ -247,26 +266,18 @@ class CompiledWorkload:
         """
         if self._psets is None:
             n = self.n
-            topo = self.topo
-            succ_off, succ = self.succ_off, self.succ
+            anc = self.ancestor_masks()
+            succ_lists = self.succ_lists
+            # Descendant masks, each including its task, like ``anc``:
+            # |Ψ_i| = n − (|desc_i| − 1) − (|anc_i| − 1) − 1.
             desc = [0] * n
-            for pos in range(n - 1, -1, -1):
-                i = topo[pos]
-                mask = 0
-                for k in range(succ_off[i], succ_off[i + 1]):
-                    j = succ[k]
-                    mask |= (1 << j) | desc[j]
+            for i in reversed(self.topo):
+                mask = 1 << i
+                for j in succ_lists[i]:
+                    mask |= desc[j]
                 desc[i] = mask
-            anc = [0] * n
-            for i in range(n):
-                bit = 1 << i
-                m = desc[i]
-                while m:
-                    low = m & -m
-                    anc[low.bit_length() - 1] |= bit
-                    m ^= low
             self._psets = [
-                n - 1 - desc[i].bit_count() - anc[i].bit_count()
+                n + 1 - desc[i].bit_count() - anc[i].bit_count()
                 for i in range(n)
             ]
         return self._psets
@@ -307,26 +318,6 @@ class CompiledWorkload:
     def weights_cache(self) -> dict[tuple, list[float]]:
         """Memo for metric weight arrays, keyed by the kernel metrics."""
         return self._weight_lists
-
-    def succ_w_master(self, weights) -> list[list[tuple[int, float]]]:
-        """Fresh weight-paired successor rows for the slicing DP.
-
-        The initial Π covers every task, so the rows depend only on
-        *weights* — memoized per weight array (PURE and NORM share one
-        array per estimator, so their slices share one master).  The
-        memo pins the array itself, which both keeps a slicing run safe
-        against mutation-after-free ``id`` reuse and makes the identity
-        key stable.  Returns a fresh outer list per call; the row lists
-        are shared and must be replaced, never mutated, by the caller.
-        """
-        entry = self._succ_w_masters.get(id(weights))
-        if entry is None or entry[0] is not weights:
-            master = [
-                [(j, weights[j]) for j in row] for row in self.succ_lists
-            ]
-            entry = (weights, master)
-            self._succ_w_masters[id(weights)] = entry
-        return list(entry[1])
 
 
 def compile_workload(graph: "TaskGraph", platform: "Platform") -> CompiledWorkload:

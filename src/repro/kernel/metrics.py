@@ -90,9 +90,8 @@ def kernel_weights(
     (and memoizing) the estimate list itself would alias the weight
     cache to the estimate cache — one downstream mutation would then
     corrupt both for every later series of the trial.  PURE and NORM
-    still share one tuple per estimator (so their slicing runs share
-    one ``succ_w_master``), but that tuple is owned by the weight cache
-    alone.
+    still share one tuple per estimator, but that tuple is owned by the
+    weight cache alone.
     """
     key = None
     cache = cw.weights_cache()
@@ -110,8 +109,7 @@ def kernel_weights(
     if isinstance(metric, (PureMetric, NormMetric)):
         # One shared immutable copy of the estimates per estimator:
         # cached under a key no metric name can collide with, so PURE
-        # and NORM resolve to the same tuple (identity matters for the
-        # per-weights succ_w_master memo) without aliasing *est*.
+        # and NORM resolve to the same tuple without aliasing *est*.
         if est_key is not None:
             est_copy_key = ("__est_copy__", est_key)
             weights = cache.get(est_copy_key)

@@ -3,18 +3,24 @@
 One function runs the whole deadline distribution — critical-path
 search, window slicing, boundary projection, pin propagation — against
 the flat arrays of a :class:`~repro.kernel.compiled.CompiledWorkload`.
-It is a line-for-line translation of
-:func:`repro.core.slicing.slice_with_state` +
-:func:`repro.core.paths.find_critical_path` with every string-keyed
-dict replaced by an int-indexed array:
+It picks exactly the paths of :func:`repro.core.slicing.slice_with_state`
++ :func:`repro.core.paths.find_critical_path`, with every string-keyed
+dict replaced by an int-indexed array and the per-step bookkeeping cut
+to what a step actually changes:
 
 * pins (`arrivals`/`deadlines`) become float arrays plus presence
   bytearrays;
-* the per-head DP memos (`dp_cache`) keep their int-keyed dist/count/
-  parent dicts but gain a *reached-set bitmask*, so the invalidation
-  sweeps (`path_set`/`new_deadline_pins` intersections) become single
-  `&` operations;
-* the best-candidate memo becomes a flat list with an UNSET sentinel;
+* each head's DP is a dense dist/count/parent triple plus a
+  *reached-set bitmask*.  A head with no successor left in Π points at
+  shared read-only rows instead of building one;
+* invalidation walks only the built heads that are full-graph
+  ancestors of the removed path or of a new deadline pin (a head's DP
+  reaches only its descendants), then tests the reached set with one
+  ``&``;
+* a DP whose reached set loses tasks that are nobody's DP parent is
+  kept as it is (see ``_keeps_dp``) instead of rebuilt;
+* candidates carry their tail; a path is reconstructed only when its
+  head is selected (or on an exact aggregate tie inside one head);
 * lexicographic path tie-breaks compare precomputed string-rank
   tuples, which order exactly like the id strings.
 
@@ -23,7 +29,8 @@ suffix × successor-insertion order, filtered to Π), every floating-point
 expression of the scoring/sharing/projection code, and the tie-breaking
 total order are preserved operation for operation, so the produced
 windows, chosen paths, and degenerate flag equal the reference's bit
-for bit.  ``tests/kernel`` enforces this against randomized workloads.
+for bit.  ``tests/kernel`` and ``tests/property/test_prop_kernel_ties.py``
+enforce this against randomized and tie-heavy workloads.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from ..core.assignment import DeadlineAssignment, TaskWindow
-from ..core.metrics import NormMetric
 from ..errors import DistributionError, MetricError
 from ..types import Time
 from .compiled import CompiledWorkload
@@ -127,6 +133,7 @@ def kernel_slice(
     pred_ps = cw.pred_ps
     rank = cw.rank
     ids = cw.ids
+    anc = cw.ancestor_masks()
     norm = metric.kernel_share == "norm"
 
     # Step 1: pin arrivals of input tasks and deadlines of output tasks.
@@ -151,15 +158,15 @@ def kernel_slice(
 
     active = bytearray(b"\x01" * n)
     n_left = n
+    # Π in topological order, kept current by removing each path's
+    # tasks (relative order is preserved, as the reference's filter).
     order_active: list[int] = list(cw.topo)
     # Π-restricted successor rows (the kernel twin of the reference's
-    # succ_active), pre-paired with the successor's weight so the DP
-    # inner loop does one unpack instead of two list lookups per edge.
-    # Rows of removed tasks are never read, and surviving rows are
-    # re-filtered in step 13, so the DP needs no per-edge activity
-    # check.  Rows are replaced, never mutated — which lets the initial
-    # full-Π rows be shared via the per-weights master memo.
-    succ_w: list[list[tuple[int, float]]] = cw.succ_w_master(weights)
+    # succ_active).  Rows of removed tasks are never read, and step 13
+    # removes each path task from its surviving predecessors' rows, so
+    # the DP needs no per-edge activity check.  The initial rows are
+    # the compiled tuples, copied into a list on first removal.
+    succ_a: list[Sequence[int]] = list(succ_lists)
 
     win_a = [0.0] * n
     win_d = [0.0] * n
@@ -169,15 +176,20 @@ def kernel_slice(
     # Per-head memos (see repro.core.slicing for the invalidation rules;
     # dp_mask[h] is the reached set of head h's DP as a bitmask).  Each
     # DP is a dense triple of n-vectors — dist None-sentinelled, cnt and
-    # par meaningful only where dist is set.
-    dp_dist: list[list[float | None] | None] = [None] * n
+    # par meaningful only inside the reached set.  A head with no
+    # successor left in Π reaches only itself, with (w_h, 1, −1): its
+    # DP points at ``weights`` and the read-only rows below, shared by
+    # every such head, instead of building a triple.
+    leaf_cnt = [1] * n
+    leaf_par = [-1] * n
+    dp_dist: list[Sequence[float | None] | None] = [None] * n
     dp_cnt: list[list[int] | None] = [None] * n
     dp_par: list[list[int] | None] = [None] * n
     dp_mask = [0] * n
-    best_c: list = [_UNSET] * n
-    # Bitmask of heads holding a built DP: the invalidation sweeps walk
-    # its set bits (~#heads) instead of scanning all n tasks per step.
-    built_mask = 0
+    # live[h]: head h's valid heap entry, None when its DP reaches no
+    # pinned tail, _UNSET when it must be (re)scored.
+    live: list = [_UNSET] * n
+    built_mask = 0  # heads holding a built DP
 
     # Incremental global selection.  Every head's current candidate
     # lives in a lazy-deletion min-heap keyed by the selection total
@@ -186,21 +198,35 @@ def kernel_slice(
     # reference breaks full ties by comparing path id-tuples
     # lexicographically; a path starts at its head, so across heads
     # that comparison is decided at position 0, and ``rank[h]`` alone
-    # reproduces it (within one head only stale duplicates can tie,
-    # and identity against ``best_c`` filters those).  Stale entries
-    # (their head's memo was reset) are popped on contact.  ``dirty``
-    # lists heads whose candidate must be (re)computed before the
-    # next selection.
+    # reproduces it.  Within one head only stale duplicates can tie
+    # (entries are all numbers, so such ties compare harmlessly), and
+    # identity against ``live`` tells the valid entry from the stale
+    # ones, which are popped on contact.  An entry ends with its head
+    # and tail, not its path: a valid entry refers to the DP it was
+    # scored on, and its head's arrival and its tail's deadline are
+    # unchanged (changing either resets ``live``), so the path and the
+    # window are read once, on selection.  ``dirty`` lists heads whose
+    # candidate must be (re)computed before the next selection.
     cand_heap: list = []
     dirty: list[int] = list(cw.input_idx)
 
     while n_left:
         # --- refresh the candidates of invalidated heads --------------
         for h in dirty:
-            if not active[h] or not has_arr[h] or best_c[h] is not _UNSET:
+            if not active[h] or not has_arr[h] or live[h] is not _UNSET:
                 continue  # removed, not (yet) a head, or a duplicate
             dist = dp_dist[h]
-            if dist is None:
+            if dist is not None:
+                cnt = dp_cnt[h]
+                par = dp_par[h]
+                mask = dp_mask[h]
+            elif not succ_a[h]:
+                dist = dp_dist[h] = weights
+                cnt = dp_cnt[h] = leaf_cnt
+                par = dp_par[h] = leaf_par
+                mask = dp_mask[h] = 1 << h
+                built_mask |= mask
+            else:
                 # Longest-Σw DP over the Π-restricted topological
                 # suffix — relaxation order identical to the
                 # reference (suffix order × successor-insertion
@@ -217,8 +243,8 @@ def kernel_slice(
                     if d_i is None:
                         continue
                     n_i = cnt[i] + 1
-                    for j, w_j in succ_w[i]:
-                        cand = d_i + w_j
+                    for j in succ_a[i]:
+                        cand = d_i + weights[j]
                         cur = dist[j]
                         if cur is None:
                             dist[j] = cand
@@ -236,17 +262,13 @@ def kernel_slice(
                 dp_par[h] = par
                 dp_mask[h] = mask
                 built_mask |= 1 << h
-            else:
-                cnt = dp_cnt[h]
-                par = dp_par[h]
-                mask = dp_mask[h]
 
             # Score this head's tails from the DP aggregates.  The
             # scan order is irrelevant (total-order selection), so
             # walking the reached-set bitmask is sound.  The leader
             # is tracked as scalars (l_tail < 0 = none yet).
             l_tail = -1
-            l_r = l_w = l_dl = 0.0
+            l_r = l_w = 0.0
             l_len = 0
             leader_path: tuple[int, ...] | None = None
             a_h = arr[h]
@@ -286,42 +308,39 @@ def kernel_slice(
                                 ):
                                     continue
                                 l_r, l_w, l_len = r, total_w, length
-                                l_tail, l_dl = t, dl[t]
+                                l_tail = t
                                 leader_path = path
                                 continue
                 l_r, l_w, l_len = r, total_w, length
-                l_tail, l_dl = t, dl[t]
+                l_tail = t
                 leader_path = None
             if l_tail < 0:
-                best_c[h] = None
+                live[h] = None
             else:
-                if leader_path is None:
-                    leader_path = _reconstruct(par, l_tail)
-                local = (l_r, l_w, leader_path, a_h, l_dl)
-                best_c[h] = local
-                heappush(
-                    cand_heap, (l_r, -l_w, -l_len, rank[h], h, local)
-                )
+                entry = (l_r, -l_w, -l_len, rank[h], h, l_tail)
+                live[h] = entry
+                heappush(cand_heap, entry)
         dirty = []
 
         # --- pick the minimum-R critical path off the heap ------------
-        best = None  # (r, weight, path, arr_head, dl_tail)
         while cand_heap:
             top = cand_heap[0]
-            if best_c[top[4]] is top[5]:
-                best = top[5]
+            h = top[4]
+            if live[h] is top:
                 break
             heappop(cand_heap)
-
-        if best is None:
+        else:
             # Unreachable for valid DAG workloads (see repro.core.slicing).
             raise DistributionError(
                 f"no critical path found with {n_left} task(s) "
                 "remaining; the task graph violates the slicing "
                 "preconditions"
             )
-        _r, path_w, path, a0, d_tail = best
+        tail = top[5]
+        path = _reconstruct(dp_par[h], tail)
         chosen_paths.append(path)
+        a0 = arr[h]
+        d_tail = dl[tail]
 
         # --- step 4: distribute the window over the path --------------
         window = d_tail - a0
@@ -380,11 +399,14 @@ def kernel_slice(
                 win_d[i] = boundaries[pos + 1]
 
         path_mask = 0
+        path_anc = 0  # the path's full-graph ancestors, itself included
         for i in path:
             path_mask |= 1 << i
+            path_anc |= anc[i]
 
         # --- steps 5–12: attach neighbours to the new spine -----------
         new_pin_mask = 0
+        pin_anc = 0
         for i in path:
             d_abs = win_d[i]
             a_i = win_a[i]
@@ -393,7 +415,7 @@ def kernel_slice(
                     if not has_arr[j] or d_abs > arr[j]:
                         arr[j] = d_abs
                         has_arr[j] = 1
-                        best_c[j] = _UNSET
+                        live[j] = _UNSET
                         dirty.append(j)
             for p, _sz in pred_ps[i]:
                 if active[p] and not (path_mask >> p) & 1:
@@ -402,53 +424,86 @@ def kernel_slice(
                         has_dl[p] = 1
                         dl_mask |= 1 << p
                         new_pin_mask |= 1 << p
-        if new_pin_mask:
-            mb = built_mask
-            while mb:
-                low = mb & -mb
-                mb ^= low
-                h = low.bit_length() - 1
-                if dp_mask[h] & new_pin_mask:
-                    best_c[h] = _UNSET
-                    dirty.append(h)
+                        pin_anc |= anc[p]
+        # A head's DP reaches only its descendants, so only built heads
+        # among the new pins' ancestors can have one in their tail set.
+        mb = built_mask & pin_anc
+        while mb:
+            low = mb & -mb
+            mb ^= low
+            h = low.bit_length() - 1
+            if dp_mask[h] & new_pin_mask:
+                live[h] = _UNSET
+                dirty.append(h)
 
         # --- step 13: remove the path from Π --------------------------
         for i in path:
             active[i] = 0
             has_arr[i] = 0
             has_dl[i] = 0
+            order_active.remove(i)
         dl_mask &= ~path_mask
         n_left -= k_len
-        touched = 0
+        # Each removed task leaves the rows of its surviving
+        # predecessors (it is in each such row exactly once).  A row
+        # still holding the compiled tuple is copied on first write.
         for i in path:
             for p, _sz in pred_ps[i]:
                 if active[p]:
-                    touched |= 1 << p
-        while touched:
-            low = touched & -touched
-            touched ^= low
-            p = low.bit_length() - 1
-            succ_w[p] = [
-                jw for jw in succ_w[p] if not (path_mask >> jw[0]) & 1
-            ]
-        mb = built_mask
+                    row = succ_a[p]
+                    if row.__class__ is tuple:
+                        row = succ_a[p] = list(row)
+                    row.remove(i)
+        # Same ancestor filter for the DPs that reached the path.
+        mb = built_mask & path_anc
         while mb:
             low = mb & -mb
             mb ^= low
             h = low.bit_length() - 1
-            if dp_mask[h] & path_mask:
+            reached = dp_mask[h]
+            if not reached & path_mask:
+                continue
+            if active[h] and _keeps_dp(
+                succ_lists, path, path_mask, reached, dp_par[h]
+            ):
+                dp_mask[h] = reached & ~path_mask
+            else:
                 dp_dist[h] = None
                 dp_cnt[h] = None
                 dp_par[h] = None
                 dp_mask[h] = 0
-                best_c[h] = _UNSET
                 built_mask ^= low
-                dirty.append(h)
-        order_active = [i for i in order_active if active[i]]
+            live[h] = _UNSET
+            dirty.append(h)
 
     return KernelAssignment(
         win_a, win_d, chosen_paths, degenerate, metric.name
     )
+
+
+def _keeps_dp(
+    succ_lists: list[tuple[int, ...]],
+    path: tuple[int, ...],
+    path_mask: int,
+    reached: int,
+    par: list[int],
+) -> bool:
+    """Whether removing *path* leaves a head's DP unchanged.
+
+    Each reached node's parent is the first predecessor, in scan order,
+    that attains its largest ``(dist, cnt)``.  A removed task that is
+    no surviving reached node's parent takes no argmax with it, so by
+    induction over the topological order every survivor keeps its
+    ``dist``, ``cnt``, ``par`` and reachability; the DP stays exact once
+    the path's bits leave its reached set.
+    """
+    survivors = reached & ~path_mask
+    for i in path:
+        if (reached >> i) & 1:
+            for j in succ_lists[i]:
+                if (survivors >> j) & 1 and par[j] == i:
+                    return False
+    return True
 
 
 def _reconstruct(par: list[int], tail: int) -> tuple[int, ...]:

@@ -623,8 +623,8 @@ def vec_weights_batch(
     retry raises the reference exception verbatim.  Successful lanes
     are written into each workload's weight memo exactly like
     :func:`repro.kernel.metrics.kernel_weights` would, so every
-    downstream stage (slicing's ``succ_w_master``, the EDF windows)
-    observes the identical objects.
+    downstream stage (the slicing DP, the EDF windows) observes the
+    identical objects.
     """
     np = _numpy()
     out: list[tuple | None] = [None] * len(cws)

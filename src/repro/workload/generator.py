@@ -112,8 +112,11 @@ def _assign_levels(
     calibration notes).
     """
     sizes = [1] * depth
-    for _ in range(n - depth):
-        idx = int((rng.random() ** skew) * depth)
+    # One batched draw yields the same uniforms, and leaves the stream
+    # in the same place, as n − depth scalar ``rng.random()`` calls;
+    # the power and scaling stay Python float arithmetic per element.
+    for u in rng.random(n - depth).tolist():
+        idx = int((u ** skew) * depth)
         sizes[min(idx, depth - 1)] += 1
     rng.shuffle(sizes)
     return sizes
@@ -294,10 +297,13 @@ def _attach_messages(
                 out[dst] = 0.0
                 pred_d[dst][src] = 0.0
         return
-    integers = rng.integers
-    hi_exclusive = max_size + 1
+    # One batched draw of every edge's size, in edge order: the same
+    # values (and the same stream position) as one scalar
+    # ``rng.integers`` call per edge.
+    n_edges = sum(len(out) for out in succ_d.values())
+    sizes = iter(rng.integers(1, max_size + 1, size=n_edges).tolist())
     for src, out in succ_d.items():
         for dst in out:
-            size = float(integers(1, hi_exclusive))
+            size = float(next(sizes))
             out[dst] = size
             pred_d[dst][src] = size

@@ -121,3 +121,16 @@ class TestRunRobustness:
                 builder,
                 **kwargs,
             )
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("jobs", 0, "jobs must be at least 1, got 0"),
+        ("jobs", -1, "jobs must be at least 1, got -1"),
+        ("chunk_size", 0, "chunk_size must be at least 1, got 0"),
+    ],
+)
+def test_run_options_rejected_like_run_experiment(option, value, message):
+    with pytest.raises(ExperimentError, match=message):
+        run_robustness(["PURE"], [{}], builder, trials=1, **{option: value})

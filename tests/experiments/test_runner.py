@@ -110,6 +110,12 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="jobs"):
             run_experiment(tiny_spec(), trials=4, jobs=-2)
 
+    def test_nonpositive_chunk_size_rejected(self):
+        with pytest.raises(
+            ExperimentError, match="chunk_size must be at least 1, got 0"
+        ):
+            run_experiment(tiny_spec(), trials=4, chunk_size=0)
+
     def test_to_dict(self):
         res = run_experiment(tiny_spec(), trials=4, seed=1, jobs=1)
         doc = res.to_dict()

@@ -40,6 +40,20 @@ class TestRunSweep2D:
         with pytest.raises(ExperimentError):
             run_sweep2d(config_for, (1,), (1,), trials=0)
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("jobs", 0, "jobs must be at least 1, got 0"),
+            ("jobs", -1, "jobs must be at least 1, got -1"),
+            ("chunk_size", 0, "chunk_size must be at least 1, got 0"),
+        ],
+    )
+    def test_run_options_rejected_like_run_experiment(
+        self, option, value, message
+    ):
+        with pytest.raises(ExperimentError, match=message):
+            run_sweep2d(config_for, (2,), (1.0,), trials=1, **{option: value})
+
     def test_missing_cell_raises(self):
         res = Sweep2DResult("t", "x", "y", [1], [1])
         with pytest.raises(ExperimentError):

@@ -117,11 +117,14 @@ class TestDerivedCaches:
         )
         assert direct is via_map  # same memo entry, same floats
 
-    def test_succ_w_master_rows_are_shared_not_copied(self, compiled_pair):
-        _graph, _platform, cw = compiled_pair
-        weights = [1.0] * cw.n
-        first = cw.succ_w_master(weights)
-        second = cw.succ_w_master(weights)
-        assert first is not second  # fresh outer list per slicing run
-        assert all(a is b for a, b in zip(first, second))  # shared rows
-        assert first[0] == [(j, 1.0) for j in cw.succ_lists[0]]
+    def test_ancestor_masks_match_closure(self, compiled_pair):
+        graph, _platform, cw = compiled_pair
+        closure = TransitiveClosure(graph)
+        index = cw.index
+        anc = cw.ancestor_masks()
+        for i, tid in enumerate(cw.ids):
+            expected = 1 << i
+            for a in closure.ancestors(tid):
+                expected |= 1 << index[a]
+            assert anc[i] == expected
+        assert cw.ancestor_masks() is anc  # built once, then shared

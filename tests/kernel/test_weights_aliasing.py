@@ -49,9 +49,8 @@ def test_mutating_the_estimates_leaves_cached_weights_untouched(cw):
 
 
 def test_pure_and_norm_share_one_copy_without_aliasing(cw):
-    """PURE and NORM still share one tuple per estimator (the slicing
-    ``succ_w_master`` memo keys on weight identity) — but that tuple is
-    the cache's own copy, not the estimate list."""
+    """PURE and NORM still share one tuple per estimator — but that
+    tuple is the cache's own copy, not the estimate list."""
     est = cw.estimates_from_vals("WCET-AVG", lambda vals: sum(vals) / len(vals))
     pure = kernel_weights(cw, get_metric("PURE", None), est, "WCET-AVG")
     norm = kernel_weights(cw, get_metric("NORM", None), est, "WCET-AVG")
