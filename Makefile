@@ -4,7 +4,7 @@ PYTHON ?= python
 TRIALS ?= 1024
 JOBS ?=
 
-.PHONY: install test bench bench-smoke bench-gates cache-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples serve-smoke serve-pool-smoke all
+.PHONY: install test bench bench-smoke bench-gates cache-smoke vec-smoke fabric-smoke profile figures lint lint-clean examples examples-check serve-smoke serve-pool-smoke all
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -63,6 +63,16 @@ figures:
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done
+
+# The committed artifacts must reproduce: examples/custom_experiment.py
+# writes its three files into a temporary directory, and each must equal
+# its copy under artifacts/ byte for byte.
+examples-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	PYTHONPATH=src $(PYTHON) examples/custom_experiment.py "$$tmp" > /dev/null && \
+	for f in ccr.json taskgraph.svg schedule.svg; do \
+		cmp "$$tmp/$$f" "artifacts/$$f" || exit 1; \
+	done && echo "artifacts/ reproduces"
 
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py

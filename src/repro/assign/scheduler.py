@@ -3,13 +3,16 @@
 Identical to the baseline of §5.4 except that each task's processor is
 dictated by a :class:`~repro.assign.clustering.TaskAssignment` instead
 of chosen greedily — the conventional strict-locality regime the paper
-contrasts with.
+contrasts with.  Given the workload's ``compiled`` form it runs the
+kernel loop with the pinned processors
+(:func:`repro.kernel.edf.kernel_schedule_edf`); the reference loop
+below stays as its oracle.
 """
 
 from __future__ import annotations
 
 from ..errors import SchedulingError
-from ..sched.edf import EdfListScheduler
+from ..sched.edf import EdfListScheduler, keeps_placement
 from .clustering import TaskAssignment
 
 __all__ = ["FixedAssignmentEdfScheduler"]
@@ -25,6 +28,21 @@ class FixedAssignmentEdfScheduler(EdfListScheduler):
     ) -> None:
         super().__init__(continue_on_miss=continue_on_miss)
         self._fixed = assignment
+
+    def schedule(self, graph, platform, assignment, *, compiled=None, **kw):
+        if compiled is not None and keeps_placement(
+            self, FixedAssignmentEdfScheduler
+        ):
+            index = {pid: q for q, pid in enumerate(compiled.proc_ids)}
+            mapping = self._fixed.mapping
+            fixed = [index.get(mapping.get(tid)) for tid in compiled.ids]
+            # An unassigned task or an unknown processor fails in the
+            # reference loop, when and where the reference meets it.
+            if None not in fixed:
+                return self._schedule_kernel(
+                    compiled, assignment, kw.get("comm"), fixed=fixed
+                )
+        return super().schedule(graph, platform, assignment, **kw)
 
     def _best_placement(
         self,

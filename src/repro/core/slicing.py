@@ -59,7 +59,6 @@ def distribute_deadlines(
     successors: Mapping[str, Sequence[str]] | None = None,
     predecessors: Mapping[str, Sequence[str]] | None = None,
     initial_pins: tuple[Mapping[str, Time], Mapping[str, Time]] | None = None,
-    compiled=None,
     kernel: bool | None = None,
 ) -> DeadlineAssignment:
     """Distribute E-T-E deadlines over *graph* for *platform*.
@@ -95,15 +94,14 @@ def distribute_deadlines(
         computed once per workload instead of once per (metric,
         workload) pair.  All must describe *graph* exactly; results are
         identical either way.
-    compiled / kernel:
-        Compiled-kernel controls.  ``kernel=False`` forces the
-        string-keyed reference; otherwise (``None``, the default, or
-        ``True``) the integer-indexed fast path (``repro.kernel``)
-        runs.  The fast path only engages for the four stock metrics
-        (exact types) and is bit-identical to the reference;
-        ``compiled`` optionally injects a prebuilt
-        :class:`~repro.kernel.compiled.CompiledWorkload` so repeat
-        callers skip recompilation.
+    kernel:
+        ``kernel=False`` forces the string-keyed reference; otherwise
+        (``None``, the default, or ``True``) the integer-indexed fast
+        path (``repro.kernel``) runs.  The fast path only engages for
+        the four stock metrics (exact types) and is bit-identical to the
+        reference.  Callers that judge one workload many times use the
+        experiment engine's :class:`~repro.experiments.context.TrialContext`,
+        which compiles it once.
 
     Returns
     -------
@@ -128,9 +126,7 @@ def distribute_deadlines(
         if type(metric_obj) in KERNEL_METRIC_TYPES:
             from ..kernel import compile_workload, kernel_slice, kernel_weights
 
-            cw = compiled
-            if cw is None:
-                cw = compile_workload(graph, platform)
+            cw = compile_workload(graph, platform)
             est = [estimates[tid] for tid in cw.ids]
             weights = kernel_weights(
                 cw,
@@ -139,7 +135,7 @@ def distribute_deadlines(
                 est_key=est_obj.name if derived_estimates else None,
             )
             ka = kernel_slice(cw, metric_obj, weights)
-            return ka.to_assignment(cw, est_obj.name)
+            return ka.to_assignment(cw, metric_obj.name, est_obj.name)
 
     state = metric_obj.prepare(graph, estimates, platform, closure=closure)
     assignment = slice_with_state(

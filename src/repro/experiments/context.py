@@ -6,11 +6,16 @@ series sees the same workload.  Everything derivable from the workload
 alone — topological order, successor adjacency, the transitive closure,
 each estimator's WCET map, the strict-locality clustering — is therefore
 identical across series and is computed lazily, exactly once, on a
-:class:`TrialContext`.  So is each deadline assignment: series that
-differ only in the scheduler policy, the communication model or the
-lateness mode share one slicing run (:meth:`TrialContext.assignment`),
-which together is where the 2–4× amortization win of the paired engine
-comes from.
+:class:`TrialContext`.  So is every kernel computation: the context
+memoizes the slicing by what it reads (the sharing rule and the weight
+values, :meth:`TrialContext.sliced`) and the kernel schedule by the
+assignment, the bus model and the lateness mode
+(:meth:`TrialContext.scheduled`), so each distinct computation on a
+workload runs once, whichever series asks for it — series that differ
+only in scheduler, bus model or lateness mode, estimators that agree
+(WCET-AVG/-MAX/-MIN on a one-class platform) and metrics whose weights
+agree (ADAPT-G/-L at k = 0 and PURE).  Together that is where the
+amortization win of the paired engine comes from.
 
 Laziness matters for bit-identical equivalence with the per-cell engine:
 a PURE-only series never builds a transitive closure, so the context
@@ -56,6 +61,8 @@ class TrialContext:
         "_strict",
         "_compiled",
         "_assignments",
+        "_slices",
+        "_schedules",
     )
 
     def __init__(self, workload: Workload) -> None:
@@ -69,6 +76,8 @@ class TrialContext:
         self._strict: tuple[object, Mapping[str, Time]] | None = None
         self._compiled = None
         self._assignments: dict[tuple, Any] = {}
+        self._slices: dict[tuple, Any] = {}
+        self._schedules: dict[tuple, Any] = {}
 
     @classmethod
     def from_seed(cls, params: "WorkloadParams", seed: int) -> "TrialContext":
@@ -208,19 +217,68 @@ class TrialContext:
             )
         return self._strict
 
+    def sliced(self, metric: Any, weights: tuple[float, ...]) -> Any:
+        """``kernel_slice`` of this workload, once per distinct input.
+
+        Keyed by all the slicing reads: *metric*'s sharing rule
+        (``kernel_share``) and the *weights* values.  The returned
+        :class:`~repro.kernel.slicing.KernelAssignment` carries no
+        metric name, so sharing it across metrics is safe; callers only
+        read it.  This memo is the kernel tier's: the compiled trial
+        path and the runner's kernel-sliced fallback (strict locality,
+        SL/FIFO/LLF) both read it, and no other tier does.
+        """
+        key = (metric.kernel_share, weights)
+        found = self._slices.get(key)
+        if found is None:
+            from ..kernel.slicing import kernel_slice
+
+            found = kernel_slice(self.compiled, metric, weights)
+            self._slices[key] = found
+        return found
+
+    def scheduled(
+        self, ka: Any, bus_delay: float | None, continue_on_miss: bool
+    ) -> Any:
+        """``kernel_schedule_edf`` under *ka*'s windows, once per input.
+
+        Keyed by the assignment object (one per distinct slicing, see
+        :meth:`sliced`), the bus model — ``None`` for the platform's
+        own, else the per-item delay of a fresh
+        :class:`~repro.system.interconnect.ContentionBus` — and the
+        lateness mode.  Callers only read the returned
+        :class:`~repro.kernel.edf.KernelSchedule`.
+        """
+        key = (ka, bus_delay, continue_on_miss)
+        found = self._schedules.get(key)
+        if found is None:
+            from ..kernel.edf import kernel_schedule_edf
+            from ..system.interconnect import ContentionBus
+
+            found = kernel_schedule_edf(
+                self.compiled,
+                ka.win_a,
+                ka.win_d,
+                comm=None if bus_delay is None else ContentionBus(bus_delay),
+                continue_on_miss=continue_on_miss,
+            )
+            self._schedules[key] = found
+        return found
+
     def assignment(
         self, config: "TrialConfig", tier: str, compute: Callable[[], Any]
     ) -> Any:
         """*config*'s deadline assignment on this workload, computed once.
 
-        Keyed by what slicing depends on — metric, adaptive parameters,
-        estimator and locality — plus the *tier* that computed it
-        (``"reference"``, ``"reference+kernel"``, ``"kernel"``,
-        ``"vec"``, ``"vec-batch"``), so configs that differ only in
+        The memo of the tiers that do not share the kernel's content
+        memo: the reference oracle (``"reference"``) and the vectorized
+        weight stage (``"vec"``, ``"vec-batch"``).  Keyed by what
+        slicing depends on — metric, adaptive parameters, estimator and
+        locality — plus the *tier*, so configs that differ only in
         scheduler, bus model or lateness mode share one slicing run,
-        while no tier ever reuses another's result (the reference oracle
-        computes its own).  *compute* builds the value on a miss;
-        callers only read what it returns.
+        while no tier ever reuses another tier's result (the reference
+        oracle computes its own).  *compute* builds the value on a
+        miss; callers only read what it returns.
         """
         key = (
             tier,

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from ..analysis.stats import BinomialEstimate
+from ..core.estimation import get_estimator
 from ..core.metrics import get_metric
 from ..core.slicing import distribute_deadlines
 from ..errors import ExperimentError, ReproError
@@ -49,7 +50,13 @@ from ..rng import derive_seed
 from ..sched.listsched import get_scheduler
 from ..store import StoreStats, TrialStore, store_key
 from ..system.interconnect import ContentionBus
-from ..kernel.trial import kernel_supported, run_trial_kernel, run_trial_vec
+from ..kernel.metrics import KERNEL_METRIC_TYPES
+from ..kernel.trial import (
+    kernel_assignment,
+    kernel_supported,
+    run_trial_kernel,
+    run_trial_vec,
+)
 from ..kernel.vec import batch_engages, vec_available, vec_mode
 from .context import TrialContext
 from .spec import ExperimentSpec, TrialConfig, TrialOutcome
@@ -118,35 +125,40 @@ def run_trial(
         # Conventional regime: a clustering pre-assignment makes the
         # execution times exact and pins every task's processor.
         fixed, estimates = context.strict_assignment()
-    else:
-        estimates = context.estimates_for(config.estimator)
-
-    def distribute():
-        metric = get_metric(config.metric, config.adaptive)
-        # ``use_k`` pins the slicing/scheduling sub-dispatch too: with
-        # the kernel off (the ``paired-ref`` oracle leg,
-        # ``use_kernel=False``) every layer must run the string-keyed
-        # reference code, so neither helper may fall back to its own
-        # environment check.
-        return distribute_deadlines(
-            graph,
-            platform,
-            metric,
-            estimator=config.estimator,
-            estimates=estimates,
-            validate=False,  # generator output is valid by construction
-            closure=context.closure if metric.uses_closure else None,
-            topo_order=context.topo_order,
-            successors=context.successors,
-            predecessors=context.predecessors,
-            initial_pins=context.initial_pins,
-            compiled=context.compiled if use_k else None,
-            kernel=use_k,
+    metric = get_metric(config.metric, config.adaptive)
+    if use_k and type(metric) in KERNEL_METRIC_TYPES:
+        # Kernel-sliced fallback (strict locality, SL/FIFO/LLF): the
+        # kernel tier's content memo slices, and the scheduler below
+        # runs the kernel loop on the materialized windows.
+        est, ka = kernel_assignment(config, context, metric)
+        assignment = ka.to_assignment(
+            context.compiled,
+            metric.name,
+            get_estimator(config.estimator).name,
         )
+        min_laxity = ka.min_laxity(est)
+    else:
+        if fixed is None:
+            estimates = context.estimates_for(config.estimator)
 
-    assignment = context.assignment(
-        config, "reference+kernel" if use_k else "reference", distribute
-    )
+        def distribute():
+            return distribute_deadlines(
+                graph,
+                platform,
+                metric,
+                estimator=config.estimator,
+                estimates=estimates,
+                validate=False,  # generator output is valid by construction
+                closure=context.closure if metric.uses_closure else None,
+                topo_order=context.topo_order,
+                successors=context.successors,
+                predecessors=context.predecessors,
+                initial_pins=context.initial_pins,
+                kernel=False,
+            )
+
+        assignment = context.assignment(config, "reference", distribute)
+        min_laxity = assignment.min_laxity(estimates)
 
     comm = (
         ContentionBus(config.workload.bus_delay_per_item)
@@ -163,15 +175,22 @@ def run_trial(
         scheduler = get_scheduler(
             config.scheduler, continue_on_miss=config.measure_lateness
         )
-    schedule = scheduler.schedule(
-        graph,
-        platform,
-        assignment,
-        comm=comm,
-        predecessors=context.predecessors,
-        successors=context.successors,
-        compiled=context.compiled if use_k else None,
-    )
+    if use_k:
+        # Every stock scheduler runs the kernel loop when handed the
+        # compiled workload; the adjacency maps serve only the
+        # reference loop.
+        schedule = scheduler.schedule(
+            graph, platform, assignment, comm=comm, compiled=context.compiled
+        )
+    else:
+        schedule = scheduler.schedule(
+            graph,
+            platform,
+            assignment,
+            comm=comm,
+            predecessors=context.predecessors,
+            successors=context.successors,
+        )
 
     if config.measure_lateness or schedule.feasible:
         max_lateness = schedule.max_lateness()
@@ -181,7 +200,7 @@ def run_trial(
         success=schedule.feasible,
         degenerate=assignment.degenerate,
         n_tasks=graph.n_tasks,
-        min_laxity=assignment.min_laxity(estimates),
+        min_laxity=min_laxity,
         makespan=schedule.makespan,
         max_lateness=max_lateness,
         failed_task=schedule.failed_task,

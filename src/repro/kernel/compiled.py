@@ -12,8 +12,9 @@ dict lookup:
   part of the bit-identity contract);
 * the topological order as an int array (insertion order and
   topological order differ in general, so both are kept);
-* CSR successor/predecessor adjacency (``array('i')`` offset+index
-  pairs, with per-predecessor-edge message sizes alongside);
+* successor and predecessor adjacency as one tuple row per task
+  (successor indices; ``(predecessor, message size)`` pairs), in the
+  graph's edge-insertion order;
 * a dense WCET matrix ``[task × processor]`` (row-major, ``-1.0``
   marking an ineligible processor) and the matching per-task
   eligibility bitmask over processors;
@@ -62,8 +63,6 @@ class CompiledWorkload:
         "index",
         "rank",
         "topo",
-        "succ_off",
-        "succ",
         "succ_lists",
         "pred_ps",
         "indeg",
@@ -110,22 +109,15 @@ class CompiledWorkload:
             rank[index[tid]] = r
         self.rank = rank
 
-        # CSR adjacency, preserving the graph's edge-insertion order per
+        # Adjacency rows, preserving the graph's edge-insertion order per
         # task (the order the reference DP/commit loops iterate in).
-        succ_off = array("i", [0] * (n + 1))
-        succ_flat: list[int] = []
         succ_lists: list[tuple[int, ...]] = []
         pred_ps: list[tuple[tuple[int, float], ...]] = []
-        for i, tid in enumerate(ids):
-            row = tuple([index[s] for s in succ_d[tid]])
-            succ_lists.append(row)
-            succ_flat.extend(row)
-            succ_off[i + 1] = len(succ_flat)
+        for tid in ids:
+            succ_lists.append(tuple([index[s] for s in succ_d[tid]]))
             pred_ps.append(
                 tuple([(index[p], size) for p, size in pred_d[tid].items()])
             )
-        self.succ_off = succ_off
-        self.succ = array("i", succ_flat)
         # Tuple-per-task successor rows: the slicing DP's innermost loop
         # iterates successors millions of times per sweep, and a direct
         # tuple walk beats a CSR range+index pair in CPython.

@@ -4,7 +4,11 @@ The int-indexed twin of :meth:`repro.sched.edf.EdfListScheduler.schedule`:
 the ready queue heap-operates on ``(absolute_deadline, task_rank,
 task_index)`` tuples, placement probes read execution times straight
 from the dense WCET matrix (``-1.0`` = ineligible), and co-located
-predecessors skip the communication model entirely.  The
+predecessors skip the communication model entirely.  Two optional
+arrays make it the twin of the other stock list schedulers too: a
+ready-queue ``key`` (the SL/FIFO/LLF priorities of
+:mod:`repro.sched.listsched`) and a ``fixed`` processor per task (the
+strict-locality :class:`~repro.assign.FixedAssignmentEdfScheduler`).  The
 :class:`~repro.system.interconnect.SharedBus` cost formula is inlined
 (it is the default model everywhere); any other model — including the
 stateful :class:`~repro.system.interconnect.ContentionBus`, whose
@@ -14,8 +18,9 @@ through the model object with the original processor-id strings.
 Bit-identity notes:
 
 * heap tie-breaks compare precomputed string ranks, which order like
-  the reference's ``(deadline, tid)`` string tuples; keys are unique
-  per task, so the pop sequence is identical;
+  the reference's ``(deadline, tid)`` (or ``(key, tid)``) string
+  tuples; entries are unique per task, so the pop sequence is
+  identical;
 * the placement key ``(start, finish, proc_rank)`` reproduces the
   reference's ``(start, start + c, proc_id)`` processor tie-break;
 * every float expression (start maximization, the post-commit
@@ -92,7 +97,7 @@ class KernelSchedule:
         finish, win_d = self.finish, self.win_d
         return max(finish[i] - win_d[i] for i in self.order)
 
-    def to_schedule(self) -> Schedule:
+    def to_schedule(self, scheduler_name: str = "EDF-LIST") -> Schedule:
         """Materialize the reference :class:`Schedule` (bit-identical,
         including the entries' placement-order dict insertion)."""
         cw = self.cw
@@ -102,7 +107,7 @@ class KernelSchedule:
             feasible=self.feasible,
             failed_task=self.failed_task,
             failure_reason=self.failure_reason,
-            scheduler_name="EDF-LIST",
+            scheduler_name=scheduler_name,
         )
         for i in self.order:
             sched.entries[ids[i]] = ScheduledTask(
@@ -123,6 +128,8 @@ def kernel_schedule_edf(
     *,
     comm: CommunicationModel | None = None,
     continue_on_miss: bool = False,
+    key: Sequence[float] | None = None,
+    fixed: Sequence[int] | None = None,
 ) -> KernelSchedule:
     """EDF-list-schedule the compiled workload under the given windows.
 
@@ -130,6 +137,14 @@ def kernel_schedule_edf(
     arrays (e.g. from a :class:`~repro.kernel.slicing.KernelAssignment`,
     which always covers every task).  *comm* defaults to the platform's
     model; its state is reset first, like the reference.
+
+    *key*, when given, orders the ready queue in place of *win_d*
+    (smaller first, ties by task id), as the reference's ``(key, id)``
+    heap does; windows still decide arrivals and misses.  *fixed*, when
+    given, pins each task to one processor index (``cw.proc_ids``
+    order) instead of probing every eligible one; a task pinned to a
+    processor it is ineligible on raises the reference's
+    :class:`~repro.errors.SchedulingError` when it is dispatched.
     """
     comm_model = comm if comm is not None else cw.platform.comm
     comm_model.reset()
@@ -161,8 +176,9 @@ def kernel_schedule_edf(
     proc_free = [0.0] * m
     resource_free: dict[str, float] = {}
     indeg_rem = list(cw.indeg)
+    prio = win_d if key is None else key
     ready = [
-        (win_d[i], rank[i], i) for i in range(n) if indeg_rem[i] == 0
+        (prio[i], rank[i], i) for i in range(n) if indeg_rem[i] == 0
     ]
     heapq.heapify(ready)
     heappop = heapq.heappop
@@ -204,10 +220,23 @@ def kernel_schedule_edf(
         # (start, finish, proc-id) lexicographic order — ranks compare
         # like the id strings and are unique, so no further tie-break
         # component is needed.
+        if fixed is None:
+            probes = elig_rows[i]
+        else:
+            pin = fixed[i]
+            c = wcet_pp[i * m + pin]
+            if c < 0.0:
+                pid = proc_ids[pin]
+                raise SchedulingError(
+                    f"strict assignment places task {ids[i]!r} on "
+                    f"processor {pid!r} (class "
+                    f"{cw.platform.class_of(pid)!r}) where it is ineligible"
+                )
+            probes = ((pin, c),)
         q = -1
         start = finish = 0.0
         b_rank = 0
-        for cand_q, c in elig_rows[i]:
+        for cand_q, c in probes:
             s = arrival
             if shared_bus:
                 for sq, pf, arrived in incoming:
@@ -299,7 +328,7 @@ def kernel_schedule_edf(
             left = indeg_rem[j] - 1
             indeg_rem[j] = left
             if not left:
-                heappush(ready, (win_d[j], rank[j], j))
+                heappush(ready, (prio[j], rank[j], j))
 
     if len(order) != n and result.feasible:
         raise SchedulingError(

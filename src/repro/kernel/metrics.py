@@ -54,14 +54,11 @@ def _average_parallelism(cw: CompiledWorkload, est: list[float]) -> float:
     if n == 0:
         raise GraphError("average parallelism of an empty graph is undefined")
     total = sum(est)
-    topo, succ_off, succ = cw.topo, cw.succ_off, cw.succ
+    topo, succ_lists = cw.topo, cw.succ_lists
     levels = [0.0] * n
     for pos in range(n - 1, -1, -1):
         i = topo[pos]
-        tail = max(
-            (levels[succ[k]] for k in range(succ_off[i], succ_off[i + 1])),
-            default=0.0,
-        )
+        tail = max((levels[j] for j in succ_lists[i]), default=0.0)
         levels[i] = est[i] + tail
     longest = max(levels)
     if longest <= 0.0:

@@ -54,10 +54,13 @@ class KernelAssignment:
     Holds per-task arrivals and absolute deadlines (insertion-indexed),
     the chosen paths as int tuples, and the degenerate flag — enough for
     the kernel EDF stage and the trial aggregates without materializing
-    a :class:`~repro.core.assignment.DeadlineAssignment`.
+    a :class:`~repro.core.assignment.DeadlineAssignment`.  It records
+    no metric name: the slicing reads only the sharing rule and the
+    weights, so metrics whose weights coincide share one assignment,
+    and :meth:`to_assignment` applies the name as a label.
     """
 
-    __slots__ = ("win_a", "win_d", "paths", "degenerate", "metric_name")
+    __slots__ = ("win_a", "win_d", "paths", "degenerate")
 
     def __init__(
         self,
@@ -65,13 +68,11 @@ class KernelAssignment:
         win_d: list[float],
         paths: list[tuple[int, ...]],
         degenerate: bool,
-        metric_name: str,
     ) -> None:
         self.win_a = win_a
         self.win_d = win_d
         self.paths = paths
         self.degenerate = degenerate
-        self.metric_name = metric_name
 
     def min_laxity(self, est: Sequence[float]) -> float:
         """``min_i (d_i − c̄_i)`` — same floats as the reference.
@@ -88,13 +89,17 @@ class KernelAssignment:
         )
 
     def to_assignment(
-        self, cw: CompiledWorkload, estimator_name: str = "?"
+        self,
+        cw: CompiledWorkload,
+        metric_name: str,
+        estimator_name: str = "?",
     ) -> DeadlineAssignment:
         """Materialize the reference-format assignment (bit-identical).
 
         Windows are inserted path by path in selection order — the very
         insertion order the reference loop produces — so even dict
-        iteration order matches.
+        iteration order matches.  *metric_name* and *estimator_name*
+        label the result as the reference would.
         """
         ids = cw.ids
         win_a, win_d = self.win_a, self.win_d
@@ -110,7 +115,7 @@ class KernelAssignment:
                 )
         return DeadlineAssignment(
             windows=windows,
-            metric_name=self.metric_name,
+            metric_name=metric_name,
             estimator_name=estimator_name,
             paths=[tuple(ids[i] for i in path) for path in self.paths],
             degenerate=self.degenerate,
@@ -123,8 +128,9 @@ def kernel_slice(
     """Run Algorithm SLICING on the compiled arrays.
 
     *metric* must be one of the kernel-supported metric instances (its
-    sharing family selects the ratio/deadline formulas); *weights* is
-    the matching :func:`~repro.kernel.metrics.kernel_weights` array.
+    sharing family, ``kernel_share``, selects the ratio/deadline
+    formulas, and is all this function reads of it); *weights* is the
+    matching :func:`~repro.kernel.metrics.kernel_weights` array.
     Every tier slices through this scalar scan: at trial sizes the
     per-head candidate sets are too small for array ranking to win.
     """
@@ -476,9 +482,7 @@ def kernel_slice(
             live[h] = _UNSET
             dirty.append(h)
 
-    return KernelAssignment(
-        win_a, win_d, chosen_paths, degenerate, metric.name
-    )
+    return KernelAssignment(win_a, win_d, chosen_paths, degenerate)
 
 
 def _keeps_dp(

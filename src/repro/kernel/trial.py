@@ -2,11 +2,19 @@
 
 The kernel replaces the string-keyed reference pipeline for the
 configurations the Monte Carlo experiments actually sweep — relaxed
-locality, the plain EDF list scheduler, the paper's four metrics.
-Everything else (strict locality's clustering pre-assignment, the
-SL/FIFO/LLF scheduler variants, custom metric objects) falls back to
-the reference implementation, which remains the oracle the kernel is
-tested bit-identical against.  ``engine="paired-ref"`` in
+locality, the plain EDF list scheduler, the paper's four metrics —
+in :func:`run_trial_kernel`.  The rest go through
+:func:`repro.experiments.runner.run_trial`'s fallback:
+
+* strict locality and the SL/FIFO/LLF list schedulers still slice on
+  the kernel (:func:`kernel_assignment`, through the same content
+  memo) and schedule on the kernel loop, which their schedulers run
+  when handed the compiled workload (ready-queue key, pinned
+  processors);
+* custom metric objects slice on the reference implementation.
+
+The reference implementation remains the oracle the kernel is tested
+bit-identical against.  ``engine="paired-ref"`` in
 :func:`repro.experiments.runner.run_experiment` (``use_kernel=False``
 per trial) forces the reference path for one run.
 """
@@ -17,16 +25,16 @@ from typing import TYPE_CHECKING
 
 from ..core.estimation import WCET_AVG, WCET_MAX, WCET_MIN, get_estimator
 from ..core.metrics import get_metric
-from ..system.interconnect import ContentionBus
 from .metrics import KERNEL_METRIC_TYPES, kernel_weights
-from .edf import kernel_schedule_edf
-from .slicing import kernel_slice
+from .slicing import KernelAssignment, kernel_slice
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.metrics import CriticalPathMetric
     from ..experiments.context import TrialContext
     from ..experiments.spec import TrialConfig, TrialOutcome
 
 __all__ = [
+    "kernel_assignment",
     "kernel_supported",
     "run_trial_kernel",
     "run_trial_vec",
@@ -34,12 +42,12 @@ __all__ = [
 
 
 def kernel_supported(config: "TrialConfig") -> bool:
-    """Whether *config* lies inside the kernel's bit-identical envelope."""
+    """Whether :func:`run_trial_kernel` runs *config* whole."""
     if config.locality != "relaxed":
         return False
-    # Exactly the registry names resolving to the plain EDF scheduler
-    # (subclasses substitute other priorities via a proxy assignment,
-    # which the kernel heap cannot reproduce).
+    # Exactly the registry names resolving to the plain EDF scheduler;
+    # the other list schedulers reach the kernel loop through their own
+    # ``schedule`` (the runner's fallback).
     if config.scheduler.upper() not in ("EDF-LIST", "EDF"):
         return False
     metric = config.metric
@@ -55,6 +63,49 @@ def kernel_supported(config: "TrialConfig") -> bool:
     )
 
 
+def _estimates(
+    config: "TrialConfig", context: "TrialContext"
+) -> tuple[list[float], str | None]:
+    """*config*'s estimate array and the key it is memoized under.
+
+    Strict locality reads the clustering's exact execution times (an
+    anonymous array); relaxed locality reads the config's estimator.
+    """
+    cw = context.compiled
+    if config.locality == "strict":
+        exact = context.strict_assignment()[1]
+        return [exact[tid] for tid in cw.ids], None
+    est_obj = get_estimator(config.estimator)
+    est_key = est_obj.name
+    if est_obj is WCET_AVG or est_obj is WCET_MAX or est_obj is WCET_MIN:
+        # The stateless per-task estimators combine the platform-valid
+        # WCET rows directly — no string-keyed estimate map needed.
+        return cw.estimates_from_vals(est_key, est_obj.combine), est_key
+    # Graph-aware or custom strategies go through the reference map.
+    est_map = context.estimates_for(config.estimator)
+    return cw.estimates_list(est_key, est_map), est_key
+
+
+def kernel_assignment(
+    config: "TrialConfig",
+    context: "TrialContext",
+    metric: "CriticalPathMetric",
+) -> tuple[list[float], KernelAssignment]:
+    """*config*'s estimates and kernel-sliced windows on *context*.
+
+    *metric* is *config*'s resolved metric, one of
+    :data:`~repro.kernel.metrics.KERNEL_METRIC_TYPES`.  The slicing
+    comes from the context's content memo
+    (:meth:`~repro.experiments.context.TrialContext.sliced`), so every
+    config whose sharing rule and weights coincide with an earlier
+    one's — whatever its metric, estimator or scheduler — reuses that
+    run.
+    """
+    est, est_key = _estimates(config, context)
+    weights = kernel_weights(context.compiled, metric, est, est_key=est_key)
+    return est, context.sliced(metric, weights)
+
+
 def run_trial_kernel(
     config: "TrialConfig", context: "TrialContext", use_vec: bool = False
 ) -> "TrialOutcome":
@@ -66,53 +117,31 @@ def run_trial_kernel(
     predicate.  ``use_vec=True`` routes the weight stage through
     :mod:`repro.kernel.vec` (same floats, array ops); callers should
     additionally gate on :func:`repro.kernel.vec.vec_available`.  The
-    estimates and the sliced assignment are memoized on *context*
-    (:meth:`~repro.experiments.context.TrialContext.assignment`), so
-    configs that differ only in bus model or lateness mode slice once.
+    slicing and the schedule come from *context*'s content memo, so
+    each distinct computation runs once per workload; the vec tier
+    keeps its own sliced assignments (tier ``"vec"`` of
+    :meth:`~repro.experiments.context.TrialContext.assignment`).
     """
     from ..experiments.spec import TrialOutcome
 
     cw = context.compiled
+    metric = get_metric(config.metric, config.adaptive)
+    if use_vec:
+        from .vec import vec_weights
 
-    def slice_windows():
-        metric = get_metric(config.metric, config.adaptive)
-        est_obj = get_estimator(config.estimator)
-        est_key = est_obj.name
-        if (
-            est_obj is WCET_AVG or est_obj is WCET_MAX or est_obj is WCET_MIN
-        ):
-            # The stateless per-task estimators combine the
-            # platform-valid WCET rows directly — no string-keyed
-            # estimate map needed.
-            est = cw.estimates_from_vals(est_key, est_obj.combine)
-        else:
-            # Graph-aware or custom strategies go through the reference
-            # map.
-            est_map = context.estimates_for(config.estimator)
-            est = cw.estimates_list(est_key, est_map)
-        if use_vec:
-            from .vec import vec_weights
-
+        def vec_slice():
+            est, est_key = _estimates(config, context)
             weights = vec_weights(cw, metric, est, est_key=est_key)
-        else:
-            weights = kernel_weights(cw, metric, est, est_key=est_key)
-        return est, kernel_slice(cw, metric, weights)
+            return est, kernel_slice(cw, metric, weights)
 
-    est, ka = context.assignment(
-        config, "vec" if use_vec else "kernel", slice_windows
-    )
+        est, ka = context.assignment(config, "vec", vec_slice)
+    else:
+        est, ka = kernel_assignment(config, context, metric)
 
-    comm = (
-        ContentionBus(config.workload.bus_delay_per_item)
-        if config.contention_bus
-        else None
-    )
-    ks = kernel_schedule_edf(
-        cw,
-        ka.win_a,
-        ka.win_d,
-        comm=comm,
-        continue_on_miss=config.measure_lateness,
+    ks = context.scheduled(
+        ka,
+        config.workload.bus_delay_per_item if config.contention_bus else None,
+        config.measure_lateness,
     )
 
     if config.measure_lateness or ks.feasible:

@@ -35,6 +35,19 @@ from .schedule import Schedule, ScheduledTask
 
 __all__ = ["EdfListScheduler", "schedule_edf"]
 
+#: The placement hooks the kernel loop reproduces.
+_PLACEMENT_HOOKS = ("_initial_proc_free", "_best_placement", "_commit_transfers")
+
+
+def keeps_placement(scheduler: "EdfListScheduler", base: type) -> bool:
+    """Whether *scheduler* places tasks exactly as *base* does.
+
+    A subclass that overrides a placement hook of *base* must take the
+    reference loop: the kernel loop reproduces only the stock hooks.
+    """
+    cls = type(scheduler)
+    return all(getattr(cls, h) is getattr(base, h) for h in _PLACEMENT_HOOKS)
+
 
 class EdfListScheduler:
     """The paper's baseline task-assignment-and-scheduling algorithm.
@@ -195,8 +208,16 @@ class EdfListScheduler:
         compiled,
         assignment: DeadlineAssignment,
         comm: CommunicationModel | None,
+        *,
+        key: Sequence[Time] | None = None,
+        fixed: Sequence[int] | None = None,
     ) -> Schedule:
-        """Run the compiled-kernel EDF loop and materialize a Schedule."""
+        """Run the compiled-kernel loop and materialize a Schedule.
+
+        *key* and *fixed* are :func:`~repro.kernel.edf.kernel_schedule_edf`'s
+        ready-queue priorities and pinned processors, for the
+        subclasses whose policy the kernel loop reproduces.
+        """
         from ..kernel.edf import kernel_schedule_edf
 
         win_a = [0.0] * compiled.n
@@ -215,8 +236,10 @@ class EdfListScheduler:
             win_d,
             comm=comm,
             continue_on_miss=self.continue_on_miss,
+            key=key,
+            fixed=fixed,
         )
-        return ks.to_schedule()
+        return ks.to_schedule(self.name)
 
     def _initial_proc_free(self, platform: Platform) -> dict[str, Time]:
         """Per-processor earliest availability (override to warm-start)."""

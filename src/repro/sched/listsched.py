@@ -19,7 +19,10 @@ All policies share the placement rule of the baseline (§5.4): the
 eligible processor yielding the earliest start time, accounting for
 communication and arrival constraints, with shared-resource
 serialization.  They reuse :class:`~repro.sched.edf.EdfListScheduler`'s
-machinery by overriding the ready-queue key.
+machinery by overriding the ready-queue key; given the workload's
+``compiled`` form, they run the kernel loop with that key
+(:func:`repro.kernel.edf.kernel_schedule_edf`), bit-identical to the
+reference loop, which stays as its oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from ..errors import SchedulingError
 from ..graph.algorithms import static_levels
 from ..graph.taskgraph import TaskGraph
 from ..types import Time
-from .edf import EdfListScheduler
+from .edf import EdfListScheduler, keeps_placement
 
 __all__ = [
     "StaticLevelScheduler",
@@ -68,15 +71,21 @@ class _KeyedListScheduler(EdfListScheduler):
             raise SchedulingError(
                 f"priority rule left tasks unprioritized: {missing[:5]}"
             )
+        if compiled is not None and keeps_placement(self, EdfListScheduler):
+            # The kernel loop orders its heap by the key array and
+            # reads windows from the real assignment.
+            return self._schedule_kernel(
+                compiled,
+                assignment,
+                comm,
+                key=[keys[tid] for tid in compiled.ids],
+            )
         # The base class consults assignment.absolute_deadline() only to
         # order its ready heap; window lookups (arrival constraints,
         # deadline-miss checks) read the window object directly.  A
         # proxy substitutes the priority key for the heap ordering while
         # delegating windows to the real assignment.
         proxy = _PriorityProxy(assignment, dict(keys))
-        # ``compiled`` is accepted for signature compatibility but never
-        # forwarded: the kernel heap orders by real deadlines, not by
-        # the proxy's substituted priority key.
         return super().schedule(
             graph,
             platform,

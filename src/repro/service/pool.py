@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError, wait
@@ -212,45 +213,59 @@ class _WorkerHandle:
         return future
 
     def read_loop(self) -> None:
-        """Resolve pending futures from worker replies until EOF.
+        """Resolve pending futures from worker replies until the pipe ends.
 
-        On EOF (worker exited or crashed) every still-pending future is
-        failed — a dead worker must never strand a waiting request.
+        When the pipe ends (the worker exited or crashed) or a frame
+        does not decode, every still-pending future is failed with an
+        error saying which — a dead worker must never strand a waiting
+        request.  This thread alone closes the connection, as it
+        leaves: a ``recv`` in progress holds the fd *number*, so a
+        close from another thread would let the next pipe reuse that
+        number under it.
         """
-        while True:
-            try:
-                msg = self.conn.recv()
-            except (EOFError, OSError):
-                break
-            future = None
+        failure = "exited with requests in flight"
+        try:
+            while True:
+                try:
+                    frame = self.conn.recv_bytes()
+                except (EOFError, OSError):
+                    break  # the pipe ended or was closed
+                try:
+                    msg = pickle.loads(frame)
+                except Exception as exc:  # noqa: BLE001 - any bad frame
+                    failure = f"sent an undecodable reply ({exc!r})"
+                    break
+                future = None
+                with self.lock:
+                    future = self.pending.pop(msg[1], None)
+                if future is None:
+                    continue  # drained/abandoned request; reply is stale
+                try:
+                    if msg[0] == "ok":
+                        future.set_result(msg[2])
+                    else:
+                        future.set_exception(RemoteAssignError(*msg[2:]))
+                except Exception:  # noqa: BLE001 - a timed drain beat us
+                    pass
+        finally:
             with self.lock:
-                future = self.pending.pop(msg[1], None)
-            if future is None:
-                continue  # drained/abandoned request; reply is stale
-            try:
-                if msg[0] == "ok":
-                    future.set_result(msg[2])
-                else:
-                    future.set_exception(RemoteAssignError(*msg[2:]))
-            except Exception:  # noqa: BLE001 - a timed drain beat us
-                pass
-        with self.lock:
-            self.alive = False
-            stranded = list(self.pending.values())
-            self.pending.clear()
-        for future in stranded:
-            # Failed, not cancelled: ``concurrent.futures.wait`` never
-            # sees a plain ``cancel()``, so a drain would sit out its
-            # whole timeout on a request that is already lost.
-            try:
-                future.set_exception(
-                    RuntimeError(
-                        f"assignment worker {self.index} exited "
-                        "with requests in flight"
+                self.alive = False
+                stranded = list(self.pending.values())
+                self.pending.clear()
+            with self.send_lock:
+                self.conn.close()
+            for future in stranded:
+                # Failed, not cancelled: ``concurrent.futures.wait`` never
+                # sees a plain ``cancel()``, so a drain would sit out its
+                # whole timeout on a request that is already lost.
+                try:
+                    future.set_exception(
+                        RuntimeError(
+                            f"assignment worker {self.index} {failure}"
+                        )
                     )
-                )
-            except InvalidStateError:
-                pass  # a timed drain resolved it first
+                except InvalidStateError:
+                    pass  # a timed drain resolved it first
 
 
 class WorkerPool:
@@ -423,7 +438,10 @@ class WorkerPool:
         received, bounded by the same timeout), fails whatever futures
         remain after the wait, then joins — escalating to
         ``terminate``/``kill`` so the call returns even if a worker
-        wedged.  Idempotent.
+        wedged.  Each worker's exit ends its reader, which closes the
+        connection as it leaves; the reader is joined here, and one
+        that outlives the budget closes it whenever it does leave.
+        Idempotent.
         """
         if self._closed:
             return
@@ -472,10 +490,12 @@ class WorkerPool:
             if handle.proc.is_alive():  # pragma: no cover - last resort
                 handle.proc.kill()
                 handle.proc.join(1.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            if handle.reader is not None:
+                handle.reader.join(
+                    5.0
+                    if deadline is None
+                    else max(0.1, deadline - time.monotonic())
+                )
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -9,12 +9,14 @@ inspected in any browser without matplotlib/graphviz:
 * :func:`graph_svg` — the task graph in layered (level-per-row) layout
   with straight arcs.
 
-Colors follow a small fixed palette keyed by hash so the same task id
-renders the same color across charts.
+Colors follow a small fixed palette keyed by a CRC-32 of the task id,
+so the same task id renders the same color across charts, runs and
+processes (Python's own ``hash`` of a string is salted per process).
 """
 
 from __future__ import annotations
 
+import zlib
 from xml.sax.saxutils import escape
 
 from ..core.assignment import DeadlineAssignment
@@ -34,7 +36,7 @@ _WINDOW = "#d0d7de"
 
 
 def _color(task_id: str) -> str:
-    return _PALETTE[hash(task_id) % len(_PALETTE)]
+    return _PALETTE[zlib.crc32(task_id.encode()) % len(_PALETTE)]
 
 
 def _doc(width: float, height: float, body: list[str]) -> str:

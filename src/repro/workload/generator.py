@@ -179,44 +179,70 @@ def _connect_levels(
     params: WorkloadParams,
     rng: np.random.Generator,
 ) -> None:
-    """Wire each non-input task to 1–3 predecessors (§5.2)."""
-    fan_lo, fan_hi = params.fan_range
-    out_degree: dict[str, int] = {tid: 0 for tid in graph.task_ids()}
+    """Wire each non-input task to 1–3 predecessors (§5.2).
 
-    # `earlier` accumulates the levels already passed — extending it
-    # incrementally keeps the same contents and order as rebuilding the
-    # prefix flattening at every level.
+    Every pick is uniform over the candidates whose out-degree is still
+    below the fan-out cap, or over all candidates when none is.  The
+    first comes from the previous level, the rest from any earlier
+    level.  Out-degrees change only between tasks, so the open
+    candidates are kept as one list in level order instead of being
+    re-filtered for every pick; the draws, and so the workloads, are
+    those of filtering afresh for every pick.
+    """
+    fan_lo, fan_hi = params.fan_range
+    integers = rng.integers
+    out_degree: dict[str, int] = dict.fromkeys(graph._tasks, 0)
+    # Edges go straight into the adjacency dicts (both ends exist, and
+    # no pair repeats), as `graph.add_edge` would insert them.
+    succ_d, pred_d = graph._succ, graph._pred
+
+    # `earlier` accumulates the levels already passed; `open_earlier`
+    # is its subsequence still below the cap, whose last `n_open_prev`
+    # entries are the previous level's.
     earlier: list[str] = []
+    open_earlier: list[str] = []
     for level in range(1, len(ids_by_level)):
         prev = ids_by_level[level - 1]
+        prev_set = set(prev)
         earlier.extend(prev)
+        opened = [t for t in prev if out_degree[t] < fan_hi]
+        open_earlier.extend(opened)
+        n_open_prev = len(opened)
         for tid in ids_by_level[level]:
-            k = int(rng.integers(fan_lo, fan_hi + 1))
+            k = int(integers(fan_lo, fan_hi + 1))
             # First predecessor comes from the previous level so the
             # level structure (and the 8–12 level depth) is exact.
-            first = _pick_pred(prev, out_degree, fan_hi, rng)
-            chosen = {first}
-            # Remaining predecessors may come from any earlier level.
-            pool = [t for t in earlier if t not in chosen]
-            while len(chosen) < k and pool:
-                pick = _pick_pred(pool, out_degree, fan_hi, rng)
-                chosen.add(pick)
-                pool.remove(pick)
+            if n_open_prev:
+                first = open_earlier[
+                    len(open_earlier) - n_open_prev
+                    + int(integers(0, n_open_prev))
+                ]
+            else:
+                first = prev[int(integers(0, len(prev)))]
+            chosen = [first]
+            if k > 1:
+                # Remaining predecessors may come from any earlier level.
+                open_pool = open_earlier.copy()
+                if out_degree[first] < fan_hi:
+                    open_pool.remove(first)
+                left = len(earlier) - 1
+                while len(chosen) < k and left:
+                    if open_pool:
+                        pick = open_pool.pop(int(integers(0, len(open_pool))))
+                    else:
+                        pool = [t for t in earlier if t not in chosen]
+                        pick = pool[int(integers(0, len(pool)))]
+                    chosen.append(pick)
+                    left -= 1
             for pred in sorted(chosen):
-                graph.add_edge(pred, tid)
-                out_degree[pred] += 1
-
-
-def _pick_pred(
-    candidates: list[str],
-    out_degree: dict[str, int],
-    fan_hi: int,
-    rng: np.random.Generator,
-) -> str:
-    """Uniform pick, preferring tasks whose out-degree is below the cap."""
-    open_slots = [t for t in candidates if out_degree[t] < fan_hi]
-    pool = open_slots if open_slots else candidates
-    return pool[int(rng.integers(0, len(pool)))]
+                succ_d[pred][tid] = 0.0
+                pred_d[tid][pred] = 0.0
+                degree = out_degree[pred] + 1
+                out_degree[pred] = degree
+                if degree == fan_hi:
+                    open_earlier.remove(pred)
+                    if pred in prev_set:
+                        n_open_prev -= 1
 
 
 def _attach_e2e_deadlines(graph: TaskGraph, params: WorkloadParams) -> None:

@@ -98,11 +98,7 @@ def test_assignments_bit_identical_including_insertion_order():
                 context.graph, context.platform, metric, kernel=False
             )
             fast = distribute_deadlines(
-                context.graph,
-                context.platform,
-                metric,
-                kernel=True,
-                compiled=context.compiled,
+                context.graph, context.platform, metric, kernel=True
             )
             assert list(ref.windows) == list(fast.windows)
             for tid, w in ref.windows.items():

@@ -521,3 +521,98 @@ class TestWorkerDeath:
                 pool.submit(distinct_body(1))
         finally:
             pool.close(timeout=5.0)
+
+
+class TestReaderTeardown:
+    def test_held_reader_keeps_its_pipe_until_it_leaves(self, monkeypatch):
+        """A reader inside ``Connection._recv`` has copied its pipe's fd
+        number before reading.  Pool A's reader is held right there
+        while A closes and pool B starts; A's fd must stay open until
+        that reader leaves, or B's pipe can reuse the number and A's
+        reader steal B's replies.  B must start and answer, and no
+        reader thread may die of an unhandled exception."""
+        import io
+        import os
+        from multiprocessing import connection as mpc
+
+        original = mpc.Connection._recv
+        watched: list = []
+        held = threading.Event()
+        release = threading.Event()
+
+        def recv(self, size, read=os.read):
+            if self in watched and size == 4 and not held.is_set():
+                handle = self._handle  # what ``_recv`` copies first
+                held.set()
+                release.wait(30.0)
+                buf = io.BytesIO()
+                remaining = size
+                while remaining > 0:
+                    chunk = read(handle, remaining)
+                    if not chunk:
+                        if remaining == size:
+                            raise EOFError
+                        raise OSError("got end of file during message")
+                    buf.write(chunk)
+                    remaining -= len(chunk)
+                return buf
+            return original(self, size, read)
+
+        crashes: list = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        monkeypatch.setattr(mpc.Connection, "_recv", recv)
+
+        pool_a = WorkerPool(1)
+        pool_b = WorkerPool(1)
+        pool_a.start(timeout=120.0)
+        try:
+            handle_a = pool_a._handles[0]
+            watched.append(handle_a.conn)
+            # One reply carries the reader into its next header read.
+            assert len(pool_a.metrics_snapshots(timeout=30.0)) == 1
+            assert held.wait(30.0)
+            pool_a.close(timeout=1.0)
+            assert not handle_a.conn.closed  # its reader still holds the fd
+
+            pool_b.start(timeout=120.0)
+            release.set()
+            handle_a.reader.join(10.0)
+            assert not handle_a.reader.is_alive()
+            assert handle_a.conn.closed  # closed by the reader as it left
+            for i in range(3):
+                reply = pool_b.submit(distinct_body(i)).result(timeout=60.0)
+                assert json.loads(reply)["format"] == "repro.assign-response/1"
+        finally:
+            release.set()
+            pool_a.close(timeout=5.0)
+            pool_b.close(timeout=5.0)
+        assert crashes == []
+
+    def test_undecodable_frame_fails_pending_futures_saying_so(self):
+        from multiprocessing import Pipe
+
+        from repro.service.pool import _WorkerHandle
+
+        conn, worker_end = Pipe()
+        handle = _WorkerHandle(0, None, conn)
+        future = handle.register(1)
+        worker_end.send_bytes(b"not a pickle")  # a corrupted frame
+        handle.read_loop()
+        with pytest.raises(RuntimeError, match="undecodable reply"):
+            future.result(timeout=0)
+        assert conn.closed and not handle.alive
+        worker_end.close()
+
+    def test_ended_pipe_fails_pending_futures_saying_so(self):
+        from multiprocessing import Pipe
+
+        from repro.service.pool import _WorkerHandle
+
+        conn, worker_end = Pipe()
+        handle = _WorkerHandle(0, None, conn)
+        future = handle.register(1)
+        worker_end.close()  # the worker is gone
+        handle.read_loop()
+        with pytest.raises(RuntimeError, match="exited with requests"):
+            future.result(timeout=0)
+        assert conn.closed and not handle.alive

@@ -77,3 +77,50 @@ class TestGraphSvg:
         )
         root = parse(graph_svg(wl.graph))
         assert len(root.findall(f".//{SVG_NS}rect")) == wl.graph.n_tasks
+
+
+class TestStableColors:
+    """Fills must not depend on the per-process string-hash salt."""
+
+    SCRIPT = """
+from repro.core import distribute_deadlines
+from repro.rng import make_rng
+from repro.sched import schedule_edf
+from repro.viz import gantt_svg, graph_svg
+from repro.workload import WorkloadParams, generate_workload
+
+wl = generate_workload(
+    WorkloadParams(m=2, n_tasks_range=(16, 20), depth_range=(5, 7)),
+    make_rng(4),
+)
+a = distribute_deadlines(wl.graph, wl.platform, "ADAPT-L")
+s = schedule_edf(wl.graph, wl.platform, a)
+print(graph_svg(wl.graph))
+print(gantt_svg(s, wl.platform, a))
+"""
+
+    def render(self, hash_seed: str) -> str:
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+
+    def test_same_bytes_under_two_hash_seeds(self):
+        first = self.render("1")
+        assert "<svg" in first
+        assert first == self.render("2")
