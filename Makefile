@@ -39,11 +39,13 @@ cache-smoke:
 vec-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/vec_smoke.py
 
-# Chaos smoke of the distributed sweep fabric: coordinator + 2 local
-# workers, one SIGKILLed while holding a lease, plus a journal-chaos
-# leg (worker killed mid-append, journal tail torn); every sweep must
-# still complete bit-identical to a single-process run and resume for
-# free.
+# Chaos smoke of the distributed sweep fabric: a coordinator computing
+# with 2 spawned workers (--workers 3), one SIGKILLed while holding a
+# lease, plus a journal-chaos leg (worker killed mid-append, journal
+# tail torn); every sweep must still complete bit-identical to a
+# single-process run and resume for free.  A last leg replays a
+# --workers 2 sweep's journal: no lease may exceed its share
+# ceil(pending / (2 x 2)).
 fabric-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/fabric_smoke.py
 

@@ -3,10 +3,12 @@
 
 Exercises the fabric's headline guarantees in one scripted incident:
 
-* a coordinator shards a sweep and spawns **two** local worker
-  processes against one shared store;
-* one worker is **SIGKILLed mid-run** (no cleanup handlers run — its
-  leases simply stop heartbeating and expire);
+* a coordinator shards a sweep and computes it as one of **three**
+  local workers (``workers=3``: itself and two spawned processes)
+  against one shared store;
+* one spawned worker is **SIGKILLed while it holds a lease** (no
+  cleanup handlers run — its leases simply stop heartbeating and
+  expire);
 * the sweep must still complete — survivors steal the expired leases —
   and the merged result must be **bit-identical** to a single-process
   ``run_experiment`` of the same shape;
@@ -17,7 +19,11 @@ Exercises the fabric's headline guarantees in one scripted incident:
   heal the tail, replay the journal, keep every completed unit done,
   and still merge bit-identically;
 * a re-run of the same sweep over the same store must resume: zero
-  leases, zero completions, nothing recomputed.
+  leases, zero completions, nothing recomputed;
+* **lease shares**: replaying the journal of a fresh ``workers=2``
+  sweep, no lease may have taken more than ``⌈pending / (2·W)⌉`` units
+  at its time (W = 2).  The check reads only the journal's order, never
+  its timestamps.
 
 Exits non-zero with a diagnostic on any violation.
 
@@ -61,7 +67,7 @@ def fail(message: str) -> None:
 
 
 def kill_leg(spec, store: Path, reference: str) -> None:
-    """Two workers, one SIGKILLed while holding a lease."""
+    """Three workers (two spawned), one SIGKILLed while holding a lease."""
     start = time.perf_counter()
     coordinator = FabricCoordinator(
         spec,
@@ -72,41 +78,43 @@ def kill_leg(spec, store: Path, reference: str) -> None:
         lease_ttl=LEASE_TTL,
     )
     killed: dict[str, object] = {}
-    # Worker i is named "local-<coordinator pid>-<i>" by the
-    # coordinator; the victim is worker 0.
+    # Spawned worker i is named "local-<coordinator pid>-<i>"; the
+    # victim is worker 0.
     victim_name = f"local-{os.getpid()}-0"
 
     def kill_when_leased(pids: list[int]) -> None:
-        if len(pids) < 2:
+        # The hook runs before the coordinator computes, so holding it
+        # here until the victim leases keeps units pending for it.
+        if len(pids) != 2:
             fail(f"expected 2 spawned workers, got {pids}")
-
-        def assassin() -> None:
-            deadline = time.monotonic() + KILL_DEADLINE
-            while time.monotonic() < deadline:
-                # snapshot() replays the journal under the queue lock,
-                # so the view is always whole records — never a torn
-                # mid-append read.
-                snap = coordinator.queue.snapshot()
-                if snap.leased_by.get(victim_name):
-                    os.kill(pids[0], signal.SIGKILL)
-                    killed["pid"] = pids[0]
-                    return
-                if snap.finished:
-                    return  # sweep outran the assassin
-                time.sleep(0.02)
-
-        threading.Thread(target=assassin, daemon=True).start()
+        deadline = time.monotonic() + KILL_DEADLINE
+        while time.monotonic() < deadline:
+            # snapshot() replays the journal under the queue lock, so
+            # the view is always whole records — never a torn
+            # mid-append read.
+            held = coordinator.queue.snapshot().leased_by.get(victim_name)
+            if held:
+                os.kill(pids[0], signal.SIGKILL)
+                killed["pid"] = pids[0]
+                killed["held"] = held
+                return
+            time.sleep(0.01)
 
     try:
-        coordinator.execute(workers=2, on_workers=kill_when_leased, poll=0.05)
+        coordinator.execute(workers=3, on_workers=kill_when_leased, poll=0.05)
         result = coordinator.merge()
         report = coordinator.report(time.perf_counter() - start)
     finally:
         coordinator.close()
     print("      " + report.summary())
     if "pid" not in killed:
-        fail("the chaos thread never killed a worker")
-    print(f"      SIGKILLed worker pid={killed['pid']}")
+        fail("the victim never leased a unit")
+    print(
+        f"      SIGKILLed worker pid={killed['pid']} holding "
+        f"{killed['held']} lease(s)"
+    )
+    if report.reissues < 1:
+        fail("no lease of the killed worker was re-issued")
     if result_text(result) != reference:
         fail("sweep result differs from the single-process reference")
     done = report.completions + report.prestored_units
@@ -150,8 +158,9 @@ def journal_chaos_leg(spec, store: Path, reference: str) -> None:
         threading.Thread(target=assassin, daemon=True).start()
 
     try:
-        # inline_fallback=False: once the worker dies the queue stalls;
-        # we stop waiting as soon as the kill has landed.
+        # One spawned worker and no computing coordinator: once the
+        # worker dies the queue stalls; we stop waiting as soon as the
+        # kill has landed.
         procs = coordinator.spawn_workers(1)
         kill_mid_journal([p.pid for p in procs])
         deadline = time.monotonic() + KILL_DEADLINE
@@ -202,9 +211,52 @@ def journal_chaos_leg(spec, store: Path, reference: str) -> None:
         )
 
 
+def lease_share_leg(spec, store: Path, reference: str) -> None:
+    """Replay a ``workers=2`` sweep's journal against the share rule."""
+    workers = 2
+    outcome = run_sweep(
+        spec,
+        trials=TRIALS,
+        seed=SEED,
+        workers=workers,
+        chunk_size=CHUNK,
+        store=store,
+        lease_ttl=LEASE_TTL,
+    )
+    print("      " + outcome.report.summary())
+    if result_text(outcome.result) != reference:
+        fail("lease-share sweep result differs from the reference")
+    root = Path(outcome.report.fabric_root)
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    if manifest["seq"] != 0:
+        fail("the queue was compacted; its journal lacks early leases")
+    pending = {
+        uid for uid, entry in manifest["units"].items()
+        if entry["state"] == "pending"
+    }
+    sizes = []
+    for line in (root / "JOURNAL.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        if record["op"] == "lease":
+            cap = max(1, -(-len(pending) // (2 * workers)))
+            size = len(record["us"])
+            if size > cap:
+                fail(
+                    f"a lease took {size} units with {len(pending)} pending "
+                    f"(share cap {cap})"
+                )
+            sizes.append(size)
+            pending.difference_update(uid for uid, _stolen in record["us"])
+        elif record["op"] == "rel":
+            pending.update(record["us"])
+    if sum(sizes) != outcome.report.units:
+        fail(f"leases cover {sum(sizes)} of {outcome.report.units} units")
+    print(f"      lease sizes in journal order: {sizes}")
+
+
 def main() -> int:
     spec = get_figure_spec(FIGURE)
-    print(f"[1/4] single-process reference ({FIGURE}, trials={TRIALS})")
+    print(f"[1/5] single-process reference ({FIGURE}, trials={TRIALS})")
     reference = result_text(
         run_experiment(
             spec, trials=TRIALS, seed=SEED, jobs=1, chunk_size=CHUNK
@@ -213,10 +265,13 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="fabric-smoke-") as tmp:
         store = Path(tmp) / "store"
-        print("[2/4] fabric sweep: 2 workers, one SIGKILLed holding a lease")
+        print(
+            "[2/5] fabric sweep: 3 workers (2 spawned), one SIGKILLed "
+            "holding a lease"
+        )
         kill_leg(spec, store, reference)
 
-        print("[3/4] resume over the same store must recompute nothing")
+        print("[3/5] resume over the same store must recompute nothing")
         resumed = run_sweep(
             spec,
             trials=TRIALS,
@@ -237,12 +292,16 @@ def main() -> int:
             )
 
     with tempfile.TemporaryDirectory(prefix="fabric-smoke-j-") as tmp:
-        print("[4/4] journal chaos: kill mid-append, tear the tail, resume")
+        print("[4/5] journal chaos: kill mid-append, tear the tail, resume")
         journal_chaos_leg(spec, Path(tmp) / "store", reference)
+
+    with tempfile.TemporaryDirectory(prefix="fabric-smoke-s-") as tmp:
+        print("[5/5] lease shares: replay a workers=2 sweep's journal")
+        lease_share_leg(spec, Path(tmp) / "store", reference)
 
     print(
         "OK: sweeps survived a SIGKILLed worker and a torn journal, "
-        "stayed bit-identical, and resumed for free"
+        "stayed bit-identical, resumed for free, and leased by shares"
     )
     return 0
 

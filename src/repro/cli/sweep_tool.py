@@ -1,6 +1,7 @@
 """``repro sweep`` — distributed experiment execution (the fabric CLI).
 
-Coordinator (shards the experiment, runs local workers, merges)::
+Coordinator (shards the experiment, computes on itself and N − 1
+spawned local workers, merges)::
 
     repro sweep fig2 --trials 1024 --store results.store --workers 8
 
@@ -91,16 +92,19 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--batch",
         type=int,
         default=None,
-        help="units a worker leases and group-commits per protocol "
-        "round trip (default 16)",
+        help="most units a worker leases and group-commits per "
+        "protocol round trip (default 16); each lease takes at most "
+        "ceil(pending / (2 x workers)) units, so leases shrink as the "
+        "queue drains",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="local worker processes (default: CPU count; 0 = none — "
-        "compute inline, or with --serve wait for remote workers). "
-        "In --connect mode: worker threads",
+        help="local workers computing the sweep: the coordinator and "
+        "N-1 spawned processes (default: CPU count; 0 or 1 = the "
+        "coordinator alone; with --serve, 0 = compute nothing and wait "
+        "for remote workers). In --connect mode: worker threads",
     )
     parser.add_argument(
         "--lease-ttl",
@@ -113,7 +117,9 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--poll",
         type=float,
         default=0.2,
-        help="idle-worker / coordinator poll interval in seconds",
+        help="longest an idle worker waits, in seconds, before it asks "
+        "for a lease again; local waits also end when a worker exits or "
+        "the coordinator sees the queue finished",
     )
     parser.add_argument(
         "--serve",
@@ -282,7 +288,7 @@ def sweep_main(argv: list[str] | None = None) -> int:
             poll=args.poll,
             # A serving coordinator with no local workers waits for
             # remote ones instead of computing everything itself.
-            inline_fallback=not (args.serve and workers == 0),
+            compute=not (args.serve and workers == 0),
         )
         execute_done = time.perf_counter()
         result = coordinator.merge()

@@ -1,8 +1,9 @@
 """The sweep coordinator: shard, fan out, survive crashes, merge.
 
 :func:`run_sweep` is the one-call form — shard an experiment into
-units, run them on N local worker processes against one shared store,
-and merge the committed partials back into a normal
+units, compute them on N local workers against one shared store (the
+coordinator itself and N − 1 spawned processes), and merge the
+committed partials back into a normal
 :class:`~repro.experiments.runner.ExperimentResult`:
 
 * **bit-identity** — the merge is a warm
@@ -11,11 +12,17 @@ and merge the committed partials back into a normal
   have computed and merges them in the same order, so the result is
   bit-identical at any worker count (the store tier's existing
   contract, extended across hosts);
+* **every worker busy to the last unit** — leases shrink as the queue
+  drains (the share rule of
+  :meth:`~repro.fabric.queue.WorkQueue.lease_batch`), the coordinator
+  computes while its children import, and its idle wait ends when a
+  child exits, so no fixed-interval poll sits between the last done
+  mark and the merge;
 * **crash recovery** — a worker that dies holding leases stops
-  heartbeating; survivors steal the expired leases.  If *every*
-  worker dies (or ``workers=0``), the coordinator finishes the
-  remaining units inline, so ``run_sweep`` always terminates with a
-  complete result;
+  heartbeating; the others, the coordinator among them, steal the
+  expired leases after the TTL.  The coordinator computes until the
+  queue is finished, so ``run_sweep`` always terminates with a
+  complete result even if every child dies;
 * **resume** — the sweep's queue directory is keyed by the sweep's
   content address inside the store directory; a re-run finds done
   units done (and pre-marks units whose records already sit in the
@@ -31,7 +38,10 @@ remote workers while local workers (if any) drain the same queue.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +70,9 @@ class SweepReport:
     leases: int
     completions: int
     reissues: int
+    #: Local processes that computed: the coordinator plus the spawned
+    #: ones (0 when it only served remote workers or had nothing to do).
+    workers_computing: int
     workers_spawned: int
     elapsed_seconds: float
     #: Wall-clock split of this run, e.g. ``{"shard": ..., "execute":
@@ -78,7 +91,8 @@ class SweepReport:
             f"fabric: {self.units} units ({self.prestored_units} already "
             f"stored), {self.completions} completed over {self.leases} "
             f"leases ({self.reissues} re-issued), "
-            f"{self.workers_spawned} local worker(s), "
+            f"{self.workers_computing} local worker(s) computing "
+            f"({self.workers_spawned} spawned), "
             f"{self.elapsed_seconds:.2f}s{phases}; "
             f"state in {self.fabric_root}"
         )
@@ -101,8 +115,9 @@ class FabricCoordinator:
     units to fill the vec tier's batch lanes, see
     :func:`~repro.fabric.units.auto_chunk_size`), plus the fabric
     knobs: ``lease_ttl`` is how long a silent worker keeps its units
-    before they are stolen, ``batch`` how many units a worker leases
-    and group-commits per protocol round trip.
+    before they are stolen, ``batch`` the most units a worker leases
+    and group-commits per protocol round trip (leases shrink below it
+    as the queue drains).
     """
 
     def __init__(
@@ -159,7 +174,12 @@ class FabricCoordinator:
             done=prestored,
             clock=clock,
         )
+        self.workers_computing = 0
         self.workers_spawned = 0
+        self._procs: list[multiprocessing.Process] = []
+        # Set by the endpoint when a remote completion finishes the
+        # queue; ends a serve-only wait at once.
+        self._finished = threading.Event()
         # Resumed manifests carry lifetime counters; the report shows
         # this run's activity as deltas against the resume point.
         self._base_snapshot = self.queue.snapshot()
@@ -167,12 +187,22 @@ class FabricCoordinator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def spawn_workers(self, n: int) -> list[multiprocessing.Process]:
+    def spawn_workers(
+        self,
+        n: int,
+        *,
+        poll: float = 0.2,
+        share: int | None = None,
+        wake: Any = None,
+    ) -> list[multiprocessing.Process]:
         """Start *n* local worker processes against this sweep's queue.
 
         Spawn (not fork): workers import :mod:`repro` fresh and receive
-        only paths and floats, so the coordinator's open file handles,
-        locks, and threads never leak into them.
+        only paths, numbers and the ``wake`` event, so the
+        coordinator's open file handles, locks, and threads never leak
+        into them.  ``share`` is the W of their lease share, and
+        setting ``wake`` (a spawn-context event) ends their idle waits;
+        :meth:`close` waits for them.
         """
         ctx = multiprocessing.get_context("spawn")
         procs = []
@@ -184,28 +214,38 @@ class FabricCoordinator:
                     str(self.root),
                     f"local-{os.getpid()}-{i}",
                     self.lease_ttl,
-                    0.2,
+                    poll,
                     self.batch,
+                    share,
+                    wake,
                 ),
                 daemon=True,
                 name=f"repro-fabric-worker-{i}",
             )
             proc.start()
             procs.append(proc)
+        self._procs.extend(procs)
         self.workers_spawned += n
         return procs
 
     def run_inline(
-        self, *, poll: float = 0.2, worker: str | None = None
+        self,
+        *,
+        poll: float = 0.2,
+        worker: str | None = None,
+        workers: int | None = None,
+        idle: Callable[[float], object] = time.sleep,
     ) -> int:
-        """Drain the queue in this process (the worker-of-last-resort)."""
-        transport = LocalTransport(self.store, self.root)
+        """Compute in this process, as one of *workers*, until the
+        queue is finished; returns the units this process completed."""
+        transport = LocalTransport(self.store, self.root, workers=workers)
         return worker_loop(
             transport,
             worker or f"coordinator-{os.getpid()}",
             lease_ttl=self.lease_ttl,
             poll=poll,
             batch=self.batch,
+            idle=idle,
         )
 
     def execute(
@@ -214,44 +254,84 @@ class FabricCoordinator:
         workers: int | None = None,
         poll: float = 0.2,
         on_workers: Callable[[list[int]], None] | None = None,
-        inline_fallback: bool = True,
+        compute: bool = True,
     ) -> None:
         """Run until every unit is done.
 
-        ``workers`` local processes are spawned (default: CPU count,
-        clamped to the number of units still outstanding; 0 computes
-        inline only).  ``on_workers`` receives their PIDs — the chaos
-        hook the kill tests use.  With ``inline_fallback`` (default)
-        the coordinator finishes remaining units itself once no local
-        worker is left alive; ``--serve``-only coordinators pass
-        ``False`` to wait for remote workers instead.
+        ``workers`` local workers compute (default: CPU count, clamped
+        to the number of units still outstanding): this process and
+        ``workers − 1`` spawned ones, so 0 and 1 both mean the
+        coordinator alone.  ``on_workers`` receives the spawned PIDs —
+        the chaos hook the kill tests use.  No wait on the way to the
+        end is a fixed nap: the coordinator's idle wait ends as soon
+        as a child exits, and the children's as soon as the
+        coordinator has seen the queue finished.  A killed child's
+        units come back after the lease TTL and are stolen like any
+        expired lease.  ``compute=False`` (``repro sweep --serve
+        --workers 0``) spawns nothing and waits for remote workers.
+
+        Children are not joined here: the caller merges first, then
+        :meth:`close` waits for them.  If ``on_workers`` or the
+        coordinator's own compute fails or is interrupted, its leases
+        are released and the children are interrupted and joined
+        before the error propagates.
         """
         snapshot = self.queue.snapshot()
         if snapshot.finished:
             return
+        if not compute:
+            while not self.queue.finished():
+                self._finished.wait(poll)
+            return
         outstanding = snapshot.total - snapshot.done
         n = workers if workers is not None else (os.cpu_count() or 1)
-        n = min(n, outstanding)
-        procs = self.spawn_workers(n) if n > 0 else []
-        if on_workers is not None:
-            on_workers([p.pid for p in procs if p.pid is not None])
+        n = max(1, min(n, outstanding))
+        self.workers_computing = n
+        wake = multiprocessing.get_context("spawn").Event() if n > 1 else None
+        procs = self.spawn_workers(n - 1, poll=poll, share=n, wake=wake)
         try:
-            while not self.queue.finished():
-                if not any(p.is_alive() for p in procs):
-                    if inline_fallback:
-                        self.run_inline(poll=poll)
-                    else:
-                        time.sleep(poll)
-                else:
-                    time.sleep(poll)
-        finally:
-            deadline = time.monotonic() + max(5.0, 2.0 * self.lease_ttl)
+            if on_workers is not None:
+                on_workers([p.pid for p in procs if p.pid is not None])
+            self.run_inline(poll=poll, workers=n, idle=self._wait_children)
+        except BaseException:
+            self._join_workers(interrupt=True)
+            raise
+        if wake is not None:
+            wake.set()  # the queue is finished: idle children leave now
+
+    def _wait_children(self, timeout: float) -> None:
+        """Idle wait of the coordinator's own loop: until a live child
+        exits (the sweep ended, or the child died), at most *timeout*."""
+        live = [p.sentinel for p in self._procs if p.exitcode is None]
+        if live:
+            multiprocessing.connection.wait(live, timeout)
+        else:
+            time.sleep(timeout)
+
+    def notify_finished(self) -> None:
+        """Wake a serve-only :meth:`execute` whose queue just finished."""
+        self._finished.set()
+
+    def _join_workers(self, *, interrupt: bool = False) -> None:
+        """Wait for the spawned workers to leave; stop stragglers.
+
+        Workers exit on their own once the queue is finished.  With
+        *interrupt* each live one first gets SIGINT, which makes it
+        release its leases and exit.  One still alive after
+        ``max(5 s, 2 × lease TTL)`` is terminated.
+        """
+        procs, self._procs = self._procs, []
+        if interrupt:
             for proc in procs:
-                proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            for proc in procs:
-                if proc.is_alive():  # pragma: no cover - stuck worker
-                    proc.terminate()
-                    proc.join(timeout=5.0)
+                if proc.exitcode is None:
+                    os.kill(proc.pid, signal.SIGINT)
+        deadline = time.monotonic() + max(5.0, 2.0 * self.lease_ttl)
+        for proc in procs:
+            proc.join(timeout=max(0.1, deadline - time.monotonic()))
+        for proc in procs:
+            if proc.is_alive():  # pragma: no cover - stuck worker
+                proc.terminate()
+                proc.join(timeout=5.0)
 
     # ------------------------------------------------------------------
     # Merge / reporting
@@ -290,6 +370,7 @@ class FabricCoordinator:
             leases=snapshot.leases - base.leases,
             completions=snapshot.completions - base.completions,
             reissues=snapshot.reissues - base.reissues,
+            workers_computing=self.workers_computing,
             workers_spawned=self.workers_spawned,
             elapsed_seconds=elapsed_seconds,
             phase_seconds=dict(phase_seconds or {}),
@@ -302,6 +383,8 @@ class FabricCoordinator:
         return FabricEndpoint(self, metrics=metrics)
 
     def close(self) -> None:
+        """Join the spawned workers, then close a store opened here."""
+        self._join_workers()
         if self._owns_store:
             self.store.close()
 
@@ -320,14 +403,15 @@ def run_sweep(
     poll: float = 0.2,
     on_workers: Callable[[list[int]], None] | None = None,
 ) -> SweepOutcome:
-    """Shard *spec*, execute on *workers* local processes, merge.
+    """Shard *spec*, execute on *workers* local workers, merge.
 
     The distributed counterpart of
     :func:`~repro.experiments.runner.run_experiment`: same result, bit
     for bit, any worker count, and it survives killed workers and
     resumes partial sweeps (see :class:`FabricCoordinator`).  The
-    report carries a shard/execute/merge wall-clock split in
-    ``phase_seconds``.
+    coordinator computes as one of the *workers* and joins the
+    spawned ones after the merge.  The report carries a
+    shard/execute/merge wall-clock split in ``phase_seconds``.
     """
     start = time.perf_counter()
     coordinator = FabricCoordinator(

@@ -13,7 +13,8 @@ Routes (JSON in/out, errors as ``{"error": ...}`` with 4xx):
 ==========================  ==========================================
 ``POST /fabric/lease``      ``{worker, ttl?, max?}`` →
                             ``{units, finished}`` — up to ``max`` unit
-                            payloads per call (batched leasing)
+                            payloads per call (batched leasing), fewer
+                            by the lease share
 ``POST /fabric/complete``   ``{worker, units, records}`` →
                             ``{done, appended, finished}`` — one group
                             commit for a whole batch: records append
@@ -23,6 +24,11 @@ Routes (JSON in/out, errors as ``{"error": ...}`` with 4xx):
 ``POST /fabric/release``    ``{worker, units}`` → ``{}``
 ``GET  /fabric/status``     → queue snapshot (counts, workers, finished)
 ==========================  ==========================================
+
+Lease share: a lease takes at most ``⌈pending / (2·W)⌉`` units (see
+:meth:`~repro.fabric.queue.WorkQueue.lease_batch`), where W is the
+coordinator's own computing workers plus the remote workers heard from
+(on any route) within one lease TTL, the requester included.
 
 Integrity: a completion may only commit records whose keys belong to
 the named unit (each unit's key set is fixed at extraction), so a
@@ -34,6 +40,8 @@ derived server-side, never trusted from the wire.
 
 from __future__ import annotations
 
+import threading
+import time
 from typing import TYPE_CHECKING, Any
 
 from ..errors import FabricError
@@ -69,6 +77,9 @@ class FabricEndpoint:
         for unit in coordinator.units:
             self._unit_docs[unit.unit_id] = unit_to_dict(unit)
             self._unit_keys[unit.unit_id] = frozenset(unit.keys)
+        # Remote worker id -> when it was last heard from (monotonic).
+        self._heard: dict[str, float] = {}
+        self._heard_lock = threading.Lock()
         self.metrics = metrics
         if metrics is not None and hasattr(
             metrics, "set_fabric_status_provider"
@@ -104,12 +115,21 @@ class FabricEndpoint:
             raise FabricError("fabric request body must be a JSON object")
         return doc
 
-    @staticmethod
-    def _worker_of(doc: dict[str, Any]) -> str:
+    def _worker_of(self, doc: dict[str, Any]) -> str:
         worker = doc.get("worker")
         if not isinstance(worker, str) or not worker:
             raise FabricError("request needs a non-empty 'worker' id")
+        with self._heard_lock:
+            self._heard[worker] = time.monotonic()
         return worker
+
+    def _share(self) -> int:
+        """W of the lease share: local computing workers plus the
+        remote workers heard from within one lease TTL."""
+        horizon = time.monotonic() - self.coordinator.lease_ttl
+        with self._heard_lock:
+            remote = sum(1 for seen in self._heard.values() if seen >= horizon)
+        return self.coordinator.workers_computing + remote
 
     def _ttl_of(self, doc: dict[str, Any]) -> float:
         """The request's TTL clamped into bounds (NaN stays NaN, which
@@ -140,7 +160,9 @@ class FabricEndpoint:
         k = doc.get("max", 1)
         if not isinstance(k, int) or k < 1:
             raise FabricError(f"bad lease batch size {k!r}")
-        unit_ids = self.queue.lease_batch(worker, min(k, _MAX_BATCH), ttl)
+        unit_ids = self.queue.lease_batch(
+            worker, min(k, _MAX_BATCH), ttl, workers=self._share()
+        )
         if not unit_ids:
             return 200, {"units": [], "finished": self.queue.finished()}
         if self.metrics is not None:
@@ -176,10 +198,13 @@ class FabricEndpoint:
                 self.metrics.fabric_completions.inc(transitions)
             if appended:
                 self.metrics.fabric_records.inc(appended)
+        finished = self.queue.finished()
+        if finished:
+            self.coordinator.notify_finished()
         return 200, {
             "done": transitions,
             "appended": appended,
-            "finished": self.queue.finished(),
+            "finished": finished,
         }
 
     def _heartbeat(self, doc: dict[str, Any]) -> tuple[int, dict[str, Any]]:

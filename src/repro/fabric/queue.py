@@ -42,6 +42,10 @@ intact whole lines.
 to a worker in one lock acquisition and one journal append, and
 :meth:`WorkQueue.complete_batch` marks a worker's whole batch done the
 same way — the per-unit protocol cost is amortized across the batch.
+Given the number *W* of workers sharing the queue, a lease takes at
+most ``⌈pending / (2·W)⌉`` units (at least one), so leases shrink as
+the queue drains — guided self-scheduling (Polychronopoulos & Kuck,
+1987) — and every worker still has work when the first one runs dry.
 :meth:`WorkQueue.heartbeat` extends all of a worker's leases in one
 append, and *skips the commit entirely* when the worker holds no lease
 (nothing changed, so nothing is written).  Completions stay idempotent
@@ -445,30 +449,39 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Worker operations
     # ------------------------------------------------------------------
-    def lease_batch(self, worker: str, k: int, ttl: float) -> list[str]:
+    def lease_batch(
+        self, worker: str, k: int, ttl: float, *, workers: int | None = None
+    ) -> list[str]:
         """Lease up to *k* units to *worker* in one commit.
 
-        Pending units go first (FIFO in manifest order — consecutive
-        units of one sweep share a sweep point, which lets the worker
-        coalesce their seed lanes into one vectorized batch); with none
-        left, the oldest *expired* leases are stolen and re-issued.  An
-        empty return writes nothing to disk and does not mean the sweep
-        is finished — live leases may still fail and come back; pair it
-        with :meth:`snapshot` (see the worker loop).
+        With *workers* (the number of workers sharing the queue, W),
+        *k* is capped at ``max(1, ⌈pending / (2·W)⌉)``, read under the
+        lock, so each lease takes a share of what is left rather than a
+        fixed batch.  Pending units go first (FIFO in manifest order —
+        consecutive units share a sweep point, so the worker can
+        coalesce their seed lanes); with none left, the oldest
+        *expired* leases are stolen and re-issued.  An empty return
+        writes nothing to disk and does not mean the sweep is finished
+        — live leases may still fail and come back; pair it with
+        :meth:`snapshot` (see the worker loop).
         """
         if k < 1:
             raise FabricError(f"lease batch size must be >= 1, got {k}")
+        if workers is not None and workers < 1:
+            raise FabricError(f"worker count must be >= 1, got {workers}")
         check_ttl(ttl)
         now = self._clock()
         with self._mutex, self._lock:
             doc = self._sync_locked()
             units = doc["units"]
-            chosen: list[tuple[str, int]] = []
-            for uid, entry in units.items():
-                if len(chosen) >= k:
-                    break
-                if entry["state"] == "pending":
-                    chosen.append((uid, 0))
+            pending = [
+                uid
+                for uid, entry in units.items()
+                if entry["state"] == "pending"
+            ]
+            if workers is not None:
+                k = min(k, max(1, -(-len(pending) // (2 * workers))))
+            chosen = [(uid, 0) for uid in pending[:k]]
             if len(chosen) < k:
                 expired = sorted(
                     (entry["expires"], uid)
@@ -489,11 +502,6 @@ class WorkQueue:
                 }
             )
             return [uid for uid, _stolen in chosen]
-
-    def lease(self, worker: str, ttl: float) -> str | None:
-        """Lease one unit to *worker* for *ttl* seconds; ``None`` if none."""
-        batch = self.lease_batch(worker, 1, ttl)
-        return batch[0] if batch else None
 
     def heartbeat(self, worker: str, ttl: float) -> int:
         """Extend every lease *worker* holds by *ttl*; returns how many.
@@ -547,10 +555,6 @@ class WorkQueue:
                 {"op": "done", "w": worker, "t": now, "us": transitions}
             )
             return len(transitions)
-
-    def complete(self, worker: str, unit_id: str) -> bool:
-        """Mark *unit_id* done.  Idempotent; returns True on transition."""
-        return self.complete_batch(worker, [unit_id]) == 1
 
     def release(self, worker: str, unit_id: str) -> None:
         """Return a leased unit to pending (worker bailing out cleanly)."""

@@ -6,7 +6,8 @@ Two ways for a worker to participate in a sweep:
   filesystem: it opens the same store directory (appends go through
   the store's ``fcntl`` file lock) and the same queue directory
   (manifest mutations go through the queue's lock).  This is the
-  ``repro sweep --workers N`` mode: N worker processes, one store.
+  ``repro sweep --workers N`` mode: the coordinator and N − 1 spawned
+  worker processes, one store.
 
 * :class:`HTTPTransport` — the worker only reaches the coordinator
   over HTTP: leases are pulled from and results pushed to the
@@ -99,23 +100,31 @@ class LocalTransport:
     """Shared-filesystem transport: one store + queue directory.
 
     ``store`` may be an already-open :class:`TrialStore` (the
-    coordinator finishing inline reuses its own) or a path; only a
-    store opened here is closed by :meth:`close`.
+    coordinator computing as a worker reuses its own) or a path; only
+    a store opened here is closed by :meth:`close`.  ``workers`` is
+    the number of workers sharing the queue: with it, each lease takes
+    a shrinking share of the pending units (see
+    :meth:`WorkQueue.lease_batch`).
     """
 
     def __init__(
         self,
         store: TrialStore | str | Path,
         fabric_root: str | Path,
+        *,
+        workers: int | None = None,
     ) -> None:
         self._owns_store = not isinstance(store, TrialStore)
         self.store = store if isinstance(store, TrialStore) else TrialStore(store)
         self.fabric_root = Path(fabric_root)
         self.queue = WorkQueue(self.fabric_root)
+        self.workers = workers
         self._sweep, self._unit_docs = load_units_file(self.fabric_root)
 
     def lease_batch(self, worker: str, k: int, ttl: float) -> list[WorkUnit]:
-        unit_ids = self.queue.lease_batch(worker, k, ttl)
+        unit_ids = self.queue.lease_batch(
+            worker, k, ttl, workers=self.workers
+        )
         units: list[WorkUnit] = []
         for unit_id in unit_ids:
             doc = self._unit_docs.get(unit_id)

@@ -6,14 +6,20 @@ and a remote worker pulling leases over HTTP.
 
 **Batched protocol.**  A worker leases up to ``batch`` units in one
 round trip (:meth:`Transport.lease_batch`), computes them as one
-coalesced seed batch (:func:`~repro.fabric.units.compute_units` — the
-vec tier gets every lane at once), and group-commits: all the batch's
-trial records flush to the store in one append, then every unit is
-marked done in one :meth:`Transport.complete_batch`.  The ordering
-contract is per *batch* what it was per unit — records are durably
-committed before any of their units is reported done, so a crash
-between the two steps re-issues units whose records already landed and
-the next holder completes them without recomputation.
+coalesced seed batch (:func:`~repro.fabric.units.compute_units`), and
+group-commits: all the batch's trial records flush to the store in one
+append, then every unit is marked done in one
+:meth:`Transport.complete_batch`.  ``batch`` is a cap: the queue sizes
+each lease by the share rule of
+:meth:`~repro.fabric.queue.WorkQueue.lease_batch` (a local transport
+passes the coordinator's worker count, the HTTP endpoint counts the
+workers it hears from), so leases shrink as the queue drains and the
+workers run dry together instead of one idling while another works
+through a full batch.  The ordering contract is per *batch* what it
+was per unit — records are durably committed before any of their
+units is reported done, so a crash between the two steps re-issues
+units whose records already landed and the next holder completes them
+without recomputation.
 
 Liveness protocol:
 
@@ -25,8 +31,12 @@ Liveness protocol:
 * a worker that *fails* computing releases every lease of the batch
   explicitly (no TTL wait) and re-raises, so a poisoned unit surfaces
   instead of bouncing between workers forever;
-* an idle worker (no leasable unit, sweep unfinished) naps ``poll``
-  seconds and retries — this is where stolen work comes from.
+* an idle worker (no leasable unit, sweep unfinished) calls its
+  ``idle`` wait with ``poll`` and retries — this is where stolen work
+  comes from.  The default wait is ``time.sleep``.  The coordinator,
+  computing as one of the workers, waits on its children's exit
+  sentinels instead, and its spawned children on an event it sets
+  once it has seen the queue finished, so nobody naps past the end.
 
 Workers exit when the queue reports the sweep finished.
 """
@@ -35,17 +45,16 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 from .queue import check_ttl
 from .units import WorkUnit, compute_units
 
 __all__ = ["DEFAULT_BATCH", "worker_loop", "local_worker_entry"]
 
-#: Default units per lease round trip.  Big enough to amortize the
-#: lock/HTTP protocol cost and feed the vec tier multi-unit seed
-#: batches, small enough that a dying worker's re-issued backlog stays
-#: cheap and stealable.
+#: Default cap on units per lease round trip.  The share rule shrinks
+#: leases below it as the queue drains; the cap bounds the backlog a
+#: dying worker leaves to be re-issued.
 DEFAULT_BATCH = 16
 
 
@@ -99,6 +108,7 @@ def worker_loop(
     lease_ttl: float = 30.0,
     poll: float = 0.2,
     batch: int = DEFAULT_BATCH,
+    idle: Callable[[float], object] = time.sleep,
     use_kernel: bool | None = None,
     use_vec: bool | None = None,
     max_units: int | None = None,
@@ -106,8 +116,9 @@ def worker_loop(
     """Drain the sweep through *transport*; returns units completed.
 
     ``batch`` caps the units leased (and group-committed) per round
-    trip; ``max_units`` bounds this worker's total share (tests and
-    canary runs) — the loop otherwise runs until
+    trip; ``idle(poll)`` waits before the next lease attempt when
+    nothing is leasable yet; ``max_units`` bounds this worker's total
+    share (tests and canary runs) — the loop otherwise runs until
     :meth:`Transport.finished`.  ``use_kernel``/``use_vec`` pin the
     fast-path tiers per worker (``use_kernel=False`` is the reference
     oracle; ``use_vec`` defaults to the inherited ``REPRO_VEC``
@@ -125,7 +136,7 @@ def worker_loop(
         if not units:
             if transport.finished():
                 break
-            time.sleep(poll)
+            idle(poll)
             continue
         try:
             with _Heartbeat(transport, worker, lease_ttl):
@@ -153,21 +164,35 @@ def local_worker_entry(
     lease_ttl: float,
     poll: float,
     batch: int = DEFAULT_BATCH,
+    workers: int | None = None,
+    wake: Any = None,
 ) -> None:
-    """Process entry point of one ``repro sweep --workers N`` worker.
+    """Process entry point of one worker spawned by ``repro sweep``.
 
-    Spawn-safe: arguments are plain strings/floats, every object is
-    reconstructed here.  The worker runs the compiled kernel, and its
-    vectorized-tier choice deliberately defers to the ``REPRO_VEC``
-    environment it inherited, exactly like a single-process run's pool
-    workers.
+    Spawn-safe: apart from ``wake``, arguments are plain strings and
+    numbers, and every object is reconstructed here.  ``workers`` is
+    the coordinator's count of computing workers, the W of the lease
+    share; ``wake`` (a multiprocessing event the coordinator sets once
+    it has seen the queue finished) ends the worker's idle waits.  The
+    worker runs the compiled kernel, and its vectorized-tier choice
+    deliberately defers to the ``REPRO_VEC`` environment it inherited,
+    exactly like a single-process run's pool workers.  An interrupt
+    (Ctrl-C, or the coordinator stopping it after an error) releases
+    the worker's leases and ends it quietly.
     """
     from .transport import LocalTransport
 
-    transport = LocalTransport(store_root, fabric_root)
+    transport = LocalTransport(store_root, fabric_root, workers=workers)
     try:
         worker_loop(
-            transport, worker, lease_ttl=lease_ttl, poll=poll, batch=batch
+            transport,
+            worker,
+            lease_ttl=lease_ttl,
+            poll=poll,
+            batch=batch,
+            idle=time.sleep if wake is None else wake.wait,
         )
+    except KeyboardInterrupt:
+        pass  # worker_loop released the leases; the coordinator reports
     finally:
         transport.close()

@@ -54,7 +54,7 @@ FORMAT = "repro.trialstore/1"
 #: the meaning of a stored record changes — new trial semantics, a
 #: different aggregation, a generator fix — so old entries stop
 #: matching instead of being served stale.
-CODE_SALT = "trial-semantics/1"
+CODE_SALT = "trial-semantics/2"
 
 _SHARD_CHARS = 2
 

@@ -298,7 +298,12 @@ def _attach_e2e_deadlines(graph: TaskGraph, params: WorkloadParams) -> None:
             if not closure.reachable(a1, a2):
                 continue
             between = descendants & (closure.ancestors(a2) | {a2})
-            work = mean_wcet[a1] + sum(mean_wcet[t] for t in between)
+            # Summed in topological order: a set of task-id strings
+            # iterates in per-process hash order, and float addition
+            # is not associative.
+            work = mean_wcet[a1] + sum(
+                mean_wcet[t] for t in order if t in between
+            )
             sl = chain[a2]
             graph.set_e2e_deadline(a1, a2, sl + params.olr * (work - sl))
 

@@ -9,6 +9,8 @@ remote-workers-only sweep that must stay bit-identical.
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -138,6 +140,44 @@ class TestEndpoint:
         status, _body = endpoint.handle("GET", "/fabric/nope", None)
         assert status == 404
 
+    def test_lease_takes_the_share_of_the_workers_heard(
+        self, coordinator, monkeypatch
+    ):
+        """W counts the coordinator's computing workers and every remote
+        worker heard from within one lease TTL, the requester included."""
+        endpoint = coordinator.endpoint()
+        every = [u.unit_id for u in coordinator.units]
+
+        def lease(worker):
+            _status, reply = endpoint.handle(
+                "POST", "/fabric/lease", {"worker": worker, "max": 4}
+            )
+            return len(reply["units"])
+
+        def release_all():
+            for worker in ("w1", "w2"):
+                endpoint.handle(
+                    "POST",
+                    "/fabric/release",
+                    {"worker": worker, "units": every},
+                )
+            assert coordinator.queue.snapshot().pending == 4
+
+        assert lease("w1") == 2  # W = 1, 4 pending
+        assert lease("w2") == 1  # W = 2, 2 pending
+        release_all()
+        coordinator.workers_computing = 2
+        assert lease("w1") == 1  # W = 2 local + 2 remote, 4 pending
+        release_all()
+        coordinator.workers_computing = 0
+        # One lease TTL later only the requester still counts.
+        import repro.fabric.endpoint as endpoint_module
+
+        later = endpoint_module.time.monotonic() + coordinator.lease_ttl + 1
+        clock = type("Clock", (), {"monotonic": lambda: later})
+        monkeypatch.setattr(endpoint_module, "time", clock)
+        assert lease("w3") == 2  # W = 1, 4 pending
+
     def test_worker_and_ttl_validation(self, coordinator):
         endpoint = coordinator.endpoint()
         with pytest.raises(FabricError, match="worker"):
@@ -209,6 +249,25 @@ class TestHTTPIntegration:
         assert json.dumps(merged, sort_keys=True) == json.dumps(
             single, sort_keys=True
         )
+
+    def test_serve_only_coordinator_wakes_on_the_last_completion(
+        self, served
+    ):
+        # A 5 s poll: only the endpoint's wake-up ends the wait in time.
+        coordinator, url = served
+        returned: list[float] = []
+
+        def serve_only():
+            coordinator.execute(compute=False, poll=5.0)
+            returned.append(time.time())
+
+        waiter = threading.Thread(target=serve_only)
+        waiter.start()
+        worker_loop(HTTPTransport(url), "remote-1", lease_ttl=5.0, poll=0.05)
+        drained = time.time()
+        waiter.join(timeout=30.0)
+        assert returned and returned[0] - drained < 1.0
+        assert coordinator.workers_computing == 0
 
     def test_transport_errors_map_to_fabric_error(self, served):
         _coordinator, url = served

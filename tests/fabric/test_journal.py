@@ -44,8 +44,8 @@ class TestJournalReplay:
     def test_fresh_handle_replays_the_journal(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=10.0)
-        q.complete("w", "u-a")
+        q.lease_batch("w", 1, 10.0)
+        q.complete_batch("w", ["u-a"])
         snap = reopen(tmp_path, clock).snapshot()
         assert (snap.done, snap.leased, snap.pending) == (1, 0, 3)
         assert snap.completions == 1
@@ -53,7 +53,7 @@ class TestJournalReplay:
     def test_torn_garbage_tail_is_healed_and_skipped(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=10.0)
+        q.lease_batch("w", 1, 10.0)
         # A writer SIGKILLed mid-append: undecodable partial line, no
         # newline.  Its operation never happened.
         with open(q.journal_path, "ab") as fh:
@@ -63,14 +63,14 @@ class TestJournalReplay:
         assert (snap.leased, snap.done) == (1, 0)
         # The heal isolated the garbage; later appends start clean and
         # every record (old, healed-garbage-skipped, new) replays.
-        assert q2.lease("w2", ttl=10.0) == "u-b"
+        assert q2.lease_batch("w2", 1, 10.0) == ["u-b"]
         snap3 = reopen(tmp_path, clock).snapshot()
         assert (snap3.leased, snap3.pending) == (2, 2)
 
     def test_torn_but_decodable_tail_applies_exactly_once(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=10.0)
+        q.lease_batch("w", 1, 10.0)
         # The writer died between write() and the newline hitting disk:
         # the record content is complete, only the terminator is torn.
         with open(q.journal_path, "rb+") as fh:
@@ -90,9 +90,9 @@ class TestJournalReplay:
         clock = Clock()
         q1 = make_queue(tmp_path, clock)
         q2 = reopen(tmp_path, clock)
-        assert q1.lease("w1", ttl=10.0) == "u-a"
-        assert q2.lease("w2", ttl=10.0) == "u-b"  # sees w1's lease
-        q1.complete("w1", "u-a")
+        assert q1.lease_batch("w1", 1, 10.0) == ["u-a"]
+        assert q2.lease_batch("w2", 1, 10.0) == ["u-b"]  # sees w1's lease
+        q1.complete_batch("w1", ["u-a"])
         snap = q2.snapshot()
         assert (snap.done, snap.leased, snap.pending) == (1, 1, 2)
 
@@ -101,9 +101,9 @@ class TestCompaction:
     def test_compacted_state_equals_journaled_state(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=10.0)
-        q.lease("w", ttl=10.0)
-        q.complete("w", "u-a")
+        q.lease_batch("w", 1, 10.0)
+        q.lease_batch("w", 1, 10.0)
+        q.complete_batch("w", ["u-a"])
         before = q.snapshot()
         q.compact()
         assert (tmp_path / "q" / "JOURNAL.jsonl").stat().st_size == 0
@@ -112,7 +112,7 @@ class TestCompaction:
     def test_threshold_triggers_compaction(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock, compact_bytes=1)
-        q.lease("w", ttl=10.0)  # every append immediately compacts
+        q.lease_batch("w", 1, 10.0)  # every append immediately compacts
         assert (tmp_path / "q" / "JOURNAL.jsonl").stat().st_size == 0
         doc = json.loads((tmp_path / "q" / "MANIFEST.json").read_text())
         assert doc["units"]["u-a"]["state"] == "leased"
@@ -123,8 +123,8 @@ class TestCompaction:
         q1 = make_queue(tmp_path, clock)
         q2 = reopen(tmp_path, clock)
         assert q2.snapshot().pending == 4  # warm q2's cache first
-        q1.lease("w", ttl=10.0)
-        q1.complete("w", "u-a")
+        q1.lease_batch("w", 1, 10.0)
+        q1.complete_batch("w", ["u-a"])
         q1.compact()  # snapshot replaced, journal truncated
         snap = q2.snapshot()
         assert (snap.done, snap.pending) == (1, 3)
@@ -184,7 +184,7 @@ class TestHeartbeatNoop:
     def test_leaseless_heartbeat_touches_no_disk(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=10.0)
+        q.lease_batch("w", 1, 10.0)
         journal = tmp_path / "q" / "JOURNAL.jsonl"
         manifest = tmp_path / "q" / "MANIFEST.json"
         j_before = journal.stat()
@@ -204,7 +204,7 @@ class TestHeartbeatNoop:
     def test_holding_heartbeat_still_commits(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=5.0)
+        q.lease_batch("w", 1, 5.0)
         journal = tmp_path / "q" / "JOURNAL.jsonl"
         size = journal.stat().st_size
         assert q.heartbeat("w", ttl=5.0) == 1

@@ -39,7 +39,7 @@ class TestLease:
         q = make_queue(tmp_path, clock)
         with pytest.raises(FabricError, match="positive and finite"):
             q.lease_batch("w", 1, ttl)
-        q.lease("w", ttl=10.0)
+        q.lease_batch("w", 1, 10.0)
         with pytest.raises(FabricError, match="positive and finite"):
             q.heartbeat("w", ttl)
         snap = q.snapshot()
@@ -48,23 +48,24 @@ class TestLease:
     def test_fifo_then_none(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        assert q.lease("w1", ttl=10.0) == "u-a"
-        assert q.lease("w1", ttl=10.0) == "u-b"
-        assert q.lease("w2", ttl=10.0) == "u-c"
-        assert q.lease("w2", ttl=10.0) is None  # all leased, none expired
+        assert q.lease_batch("w1", 1, 10.0) == ["u-a"]
+        assert q.lease_batch("w1", 1, 10.0) == ["u-b"]
+        assert q.lease_batch("w2", 1, 10.0) == ["u-c"]
+        assert q.lease_batch("w2", 1, 10.0) == []  # all leased, none expired
         assert not q.finished()
 
     def test_expired_lease_is_stolen_oldest_first(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("dead", ttl=5.0)   # u-a expires at 1005
+        q.lease_batch("dead", 1, 5.0)   # u-a expires at 1005
         clock.now += 2.0
-        q.lease("dying", ttl=5.0)  # u-b expires at 1007
-        q.lease("w", ttl=100.0)    # u-c healthy
+        q.lease_batch("dying", 1, 5.0)  # u-b expires at 1007
+        q.lease_batch("w", 1, 100.0)    # u-c healthy
         clock.now = 1008.0         # both short leases expired
-        assert q.lease("thief", ttl=100.0) == "u-a"  # oldest expiry first
-        assert q.lease("thief", ttl=100.0) == "u-b"
-        assert q.lease("thief", ttl=100.0) is None
+        # Oldest expiry first.
+        assert q.lease_batch("thief", 1, 100.0) == ["u-a"]
+        assert q.lease_batch("thief", 1, 100.0) == ["u-b"]
+        assert q.lease_batch("thief", 1, 100.0) == []
         snap = q.snapshot()
         assert snap.reissues == 2
         assert snap.leases == 5
@@ -72,60 +73,102 @@ class TestLease:
     def test_heartbeat_extends_every_lease_of_the_worker(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=5.0)
-        q.lease("w", ttl=5.0)
+        q.lease_batch("w", 1, 5.0)
+        q.lease_batch("w", 1, 5.0)
         clock.now += 4.0
         assert q.heartbeat("w", ttl=5.0) == 2
         clock.now += 4.0  # would be past the original expiry
-        assert q.lease("thief", ttl=5.0) == "u-c"  # pending, not stolen
+        assert q.lease_batch("thief", 1, 5.0) == ["u-c"]  # pending, not stolen
         assert q.snapshot().reissues == 0
 
     def test_attempts_count_reissues(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock, ids=["u-a"])
-        q.lease("w1", ttl=1.0)
+        q.lease_batch("w1", 1, 1.0)
         clock.now += 10.0
-        assert q.lease("w2", ttl=1.0) == "u-a"  # nothing pending: steal
+        assert q.lease_batch("w2", 1, 1.0) == ["u-a"]  # nothing pending: steal
         q.compact()  # fold the journal so the snapshot is current
         doc = json.loads((tmp_path / "q" / "MANIFEST.json").read_text())
         assert doc["units"]["u-a"]["attempts"] == 2
+
+
+class TestLeaseShare:
+    """With the worker count W, a lease takes ⌈pending / (2·W)⌉ units."""
+
+    IDS28 = [f"u-{i:02d}" for i in range(28)]
+
+    def drain(self, q, k, workers):
+        sizes = []
+        while got := q.lease_batch(
+            f"w{len(sizes) % 2}", k, 10.0, workers=workers
+        ):
+            sizes.append(len(got))
+        return sizes
+
+    def test_successive_leases_shrink_with_the_pending_count(self, tmp_path):
+        q = make_queue(tmp_path, Clock(), ids=self.IDS28)
+        assert self.drain(q, 16, workers=2) == [7, 6, 4, 3, 2, 2, 1, 1, 1, 1]
+        assert q.snapshot().leased == 28
+
+    def test_the_batch_still_caps_the_share(self, tmp_path):
+        q = make_queue(tmp_path, Clock(), ids=self.IDS28)
+        assert self.drain(q, 3, workers=1) == [3] * 8 + [2, 1, 1]
+
+    def test_without_a_worker_count_the_batch_holds(self, tmp_path):
+        q = make_queue(tmp_path, Clock(), ids=self.IDS28)
+        assert len(q.lease_batch("w", 16, 10.0)) == 16
+        assert len(q.lease_batch("w", 16, 10.0)) == 12
+
+    def test_steals_one_expired_lease_at_a_time(self, tmp_path):
+        clock = Clock()
+        q = make_queue(tmp_path, clock)
+        q.lease_batch("dead", 3, 1.0)
+        clock.now += 5.0  # nothing pending: the share is one unit
+        assert q.lease_batch("thief", 3, 10.0, workers=2) == ["u-a"]
+        assert q.lease_batch("thief", 3, 10.0) == ["u-b", "u-c"]
+
+    def test_worker_count_must_be_positive(self, tmp_path):
+        q = make_queue(tmp_path, Clock())
+        with pytest.raises(FabricError, match="worker count"):
+            q.lease_batch("w", 1, 10.0, workers=0)
+        assert q.snapshot().leased == 0
 
 
 class TestCompleteRelease:
     def test_complete_is_idempotent_and_any_worker(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w1", ttl=1.0)
-        assert q.complete("other", "u-a") is True  # thief completes
-        assert q.complete("w1", "u-a") is False    # resurrected holder
+        q.lease_batch("w1", 1, 1.0)
+        assert q.complete_batch("other", ["u-a"]) == 1  # thief completes
+        assert q.complete_batch("w1", ["u-a"]) == 0    # resurrected holder
         assert q.snapshot().completions == 1
 
     def test_complete_unknown_unit_raises(self, tmp_path):
         q = make_queue(tmp_path, Clock())
         with pytest.raises(FabricError, match="unknown unit"):
-            q.complete("w", "nope")
+            q.complete_batch("w", ["nope"])
 
     def test_release_returns_unit_to_pending(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=100.0)
+        q.lease_batch("w", 1, 100.0)
         q.release("w", "u-a")
-        assert q.lease("w2", ttl=1.0) == "u-a"  # immediately leasable
+        assert q.lease_batch("w2", 1, 1.0) == ["u-a"]  # immediately leasable
 
     def test_release_ignores_foreign_lease(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=100.0)
+        q.lease_batch("w", 1, 100.0)
         q.release("other", "u-a")  # not the holder: no-op
         assert q.snapshot().leased == 1
 
     def test_finished_when_all_done(self, tmp_path):
         q = make_queue(tmp_path, Clock())
         for uid in IDS:
-            q.lease("w", ttl=10.0)
-            q.complete("w", uid)
+            q.lease_batch("w", 1, 10.0)
+            q.complete_batch("w", [uid])
         assert q.finished()
-        assert q.lease("w", ttl=10.0) is None
+        assert q.lease_batch("w", 1, 10.0) == []
 
 
 class TestCreateResume:
@@ -133,18 +176,18 @@ class TestCreateResume:
         q = make_queue(tmp_path, Clock(), done=["u-b"])
         snap = q.snapshot()
         assert (snap.pending, snap.done) == (2, 1)
-        assert q.lease("w", ttl=1.0) == "u-a"
-        assert q.lease("w", ttl=1.0) == "u-c"
+        assert q.lease_batch("w", 1, 1.0) == ["u-a"]
+        assert q.lease_batch("w", 1, 1.0) == ["u-c"]
 
     def test_resume_keeps_done_and_counters(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w", ttl=10.0)
-        q.complete("w", "u-a")
+        q.lease_batch("w", 1, 10.0)
+        q.complete_batch("w", ["u-a"])
         q2 = make_queue(tmp_path, clock)  # same sweep id, same units
         snap = q2.snapshot()
         assert snap.done == 1 and snap.completions == 1
-        assert q2.lease("w", ttl=1.0) == "u-b"
+        assert q2.lease_batch("w", 1, 1.0) == ["u-b"]
 
     def test_resume_unions_new_predone(self, tmp_path):
         clock = Clock()
@@ -184,9 +227,9 @@ class TestSnapshot:
     def test_counts_workers_and_liveness(self, tmp_path):
         clock = Clock()
         q = make_queue(tmp_path, clock)
-        q.lease("w1", ttl=10.0)
+        q.lease_batch("w1", 1, 10.0)
         clock.now += 100.0
-        q.lease("w2", ttl=10.0)
+        q.lease_batch("w2", 1, 10.0)
         snap = q.snapshot()
         assert isinstance(snap, QueueSnapshot)
         assert set(snap.workers) == {"w1", "w2"}

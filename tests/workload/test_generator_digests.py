@@ -14,8 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.rng import make_rng
 from repro.system.platform import platform_to_dict
@@ -53,6 +59,10 @@ DIGESTS = {
     ("default", 0): "fb8f8c17bf0efea1870ca89d6bb4c4936c3e30d7fe7045c3b1f8a2453a713c71",
     ("default", 1): "b251e4422a330ac9b03e84225508ce1347ef7881c1c28e96378780c1e38b0c20",
     ("default", 2026): "dab6763827ae3d3ddf3b67baafa6034cf964131182517d6837fd3d8d21830da1",
+    # Pinned after the pair-surplus workload sum was put in topological
+    # order (before, the digest followed PYTHONHASHSEED).
+    ("pair", 0): "0631631cbb394c66810170b32f223077957384756da8b267328ba03c6f43623c",
+    ("pair", 7): "20cb9393f31095e3c5a34b1681d4dfa9aca1e4d3568ae8da00faf09259fc3f99",
     ("skew1", 0): "72535e4e5bd679bdca2e8f5d8ec99c92749c6a6b7af81c616dd13117e4a22850",
     ("skew1", 7): "40e8ae3f9082dc93ce2e1d045d226fc42d74d6fbf8a0640608bccf92a1525284",
 }
@@ -61,6 +71,7 @@ PARAMS = {
     "default": WorkloadParams(),
     "ccr0": WorkloadParams(ccr=0.0),
     "skew1": WorkloadParams(level_skew=1.0),
+    "pair": WorkloadParams(deadline_mode="pair-surplus"),
 }
 
 
@@ -68,6 +79,37 @@ PARAMS = {
 def test_generated_workload_is_pinned(case):
     name, seed = case
     assert stream_digest(PARAMS[name], seed) == DIGESTS[case]
+
+
+#: Prints the digest of a few pair-surplus workloads' E-T-E deadlines.
+_PAIR_PROBE = """
+import hashlib, json
+from repro.rng import make_rng
+from repro.workload import WorkloadParams, generate_workload
+params = WorkloadParams(deadline_mode="pair-surplus")
+docs = [
+    list(generate_workload(params, make_rng(s * 1000 + 10)).graph._e2e.items())
+    for s in range(6)
+]
+print(hashlib.sha256(json.dumps(docs).encode()).hexdigest())
+"""
+
+
+def test_pair_surplus_deadlines_do_not_depend_on_the_string_hash():
+    """Each pair's workload is a float sum over a set of task ids; it
+    must not follow the set's per-process iteration order."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _PAIR_PROBE],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        for seed in ("1", "2")
+    }
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 3), (1, 4), (0, 7), (1, 1 << 20)])
