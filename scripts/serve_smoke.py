@@ -3,8 +3,9 @@
 
 Starts the asyncio front end over an in-process service (the
 ``--workers 1`` topology) on an ephemeral port, POSTs one assignment
-twice (the second must be a cache hit), scrapes ``/metrics``, and
-shuts down.  With ``--workers N`` (N ≥ 2) a second leg repeats the
+twice (the second must be a cache hit), POSTs two malformed graph
+documents (each must answer a 400 JSON error), scrapes ``/metrics``,
+and shuts down.  With ``--workers N`` (N ≥ 2) a second leg repeats the
 exercise against the pooled topology — the same front end over
 pre-forked workers — over one keep-alive connection, forces a 429 +
 ``Retry-After`` out of a saturated one-worker pool, and checks the
@@ -24,6 +25,7 @@ import json
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 
 from repro.graph import chain_graph, graph_to_dict
@@ -42,6 +44,32 @@ def smoke_body() -> bytes:
             "metric": "ADAPT-L",
         }
     ).encode()
+
+
+def malformed_bodies() -> list[tuple[str, bytes]]:
+    """Graph documents the service must refuse with 400, not 500."""
+    doc = json.loads(smoke_body())
+    wcet_list = json.loads(json.dumps(doc))
+    wcet_list["graph"]["tasks"][0]["wcet"] = [1, 2]
+    # One integer id, used consistently by the edges and pairs.
+    int_id = json.loads(json.dumps(doc))
+    graph = int_id["graph"]
+    old_id = graph["tasks"][0]["id"]
+    graph["tasks"][0]["id"] = 7
+    for ref in graph["edges"] + graph["e2e_deadlines"]:
+        for end in ("src", "dst"):
+            if ref[end] == old_id:
+                ref[end] = 7
+    return [
+        ("wcet list", json.dumps(wcet_list).encode()),
+        ("integer task id", json.dumps(int_id).encode()),
+    ]
+
+
+def check_refused(status: int, payload: bytes, name: str) -> None:
+    assert status == 400, f"{name} body answered {status}, not 400"
+    doc = json.loads(payload)
+    assert doc.get("kind") == "SerializationError", f"{name} body: {doc}"
 
 
 def single_process_smoke() -> int:
@@ -71,10 +99,20 @@ def single_process_smoke() -> int:
         assert second["cached"], "second request must be a cache hit"
         assert second["slices"] == first["slices"], "cache changed the answer"
 
+        for name, bad in malformed_bodies():
+            request = urllib.request.Request(base + "/assign", data=bad)
+            try:
+                with urllib.request.urlopen(request) as response:
+                    status, payload = response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                status, payload = exc.code, exc.read()
+            check_refused(status, payload, name)
+
         with urllib.request.urlopen(base + "/metrics") as response:
             text = response.read().decode()
         for needle in (
             'repro_requests_total{endpoint="assign",status="200"} 2',
+            'repro_requests_total{endpoint="assign",status="400"} 2',
             "repro_cache_hits_total 1",
             "repro_cache_misses_total 1",
             "repro_assign_latency_seconds_count 2",
@@ -124,6 +162,10 @@ def pooled_smoke(workers: int) -> int:
             response = conn.getresponse()
             assert response.status == 400, "bad JSON must be 400"
             response.read()
+            for name, bad in malformed_bodies():
+                conn.request("POST", "/assign", body=bad)
+                response = conn.getresponse()
+                check_refused(response.status, response.read(), name)
             conn.request("GET", "/metrics")
             response = conn.getresponse()
             assert response.status == 200, "pooled metrics scrape failed"
@@ -133,7 +175,7 @@ def pooled_smoke(workers: int) -> int:
         for needle in (
             "repro_cache_hits_total 1",
             "repro_cache_misses_total 1",
-            'repro_requests_total{endpoint="assign",status="400"} 1',
+            'repro_requests_total{endpoint="assign",status="400"} 3',
         ):
             assert needle in text, f"pooled metrics missing {needle!r}"
     except AssertionError as exc:

@@ -33,7 +33,8 @@ class FixedAssignmentEdfScheduler(EdfListScheduler):
         if compiled is not None and keeps_placement(
             self, FixedAssignmentEdfScheduler
         ):
-            index = {pid: q for q, pid in enumerate(compiled.proc_ids)}
+            proc_ids = compiled.placement().proc_ids
+            index = {pid: q for q, pid in enumerate(proc_ids)}
             mapping = self._fixed.mapping
             fixed = [index.get(mapping.get(tid)) for tid in compiled.ids]
             # An unassigned task or an unknown processor fails in the

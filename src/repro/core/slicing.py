@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 from ..errors import DistributionError
 from ..graph.algorithms import TransitiveClosure
 from ..graph.taskgraph import TaskGraph
-from ..graph.validation import validate_graph
+from ..graph.validation import check_graph
 from ..system.platform import Platform
 from ..types import Time
 from .assignment import DeadlineAssignment, TaskWindow
@@ -85,7 +85,9 @@ def distribute_deadlines(
         Precomputed ``c̄_i`` map, overriding *estimator* (useful for
         experiments that reuse estimates across metrics).
     validate:
-        Run structural validation of the graph first.
+        Check the graph for structural errors first
+        (:func:`~repro.graph.validation.check_graph`; warnings are not
+        computed).
     closure / topo_order / successors / predecessors / initial_pins:
         Optional prederived graph state (transitive closure, topological
         order, successor/predecessor adjacency, step-1 boundary pins)
@@ -109,12 +111,9 @@ def distribute_deadlines(
         Windows for every task, with provenance and the selected paths.
     """
     if validate:
-        validate_graph(graph).raise_if_invalid()
+        check_graph(graph)
     metric_obj = get_metric(metric, params)
     est_obj = get_estimator(estimator)
-    derived_estimates = estimates is None
-    if estimates is None:
-        estimates = estimate_map(graph, est_obj, platform)
 
     # Compiled-kernel fast path: exact stock metric types only, so any
     # subclass with a custom sharing rule always takes the reference
@@ -127,16 +126,20 @@ def distribute_deadlines(
             from ..kernel import compile_workload, kernel_slice, kernel_weights
 
             cw = compile_workload(graph, platform)
-            est = [estimates[tid] for tid in cw.ids]
-            weights = kernel_weights(
-                cw,
-                metric_obj,
-                est,
-                est_key=est_obj.name if derived_estimates else None,
-            )
+            if estimates is None:
+                est_key = est_obj.name
+                est = cw.estimates(
+                    est_obj, lambda: estimate_map(graph, est_obj, platform)
+                )
+            else:
+                est_key = None
+                est = [estimates[tid] for tid in cw.ids]
+            weights = kernel_weights(cw, metric_obj, est, est_key=est_key)
             ka = kernel_slice(cw, metric_obj, weights)
             return ka.to_assignment(cw, metric_obj.name, est_obj.name)
 
+    if estimates is None:
+        estimates = estimate_map(graph, est_obj, platform)
     state = metric_obj.prepare(graph, estimates, platform, closure=closure)
     assignment = slice_with_state(
         graph,

@@ -124,10 +124,6 @@ class QueueSnapshot:
     def finished(self) -> bool:
         return self.total > 0 and self.done == self.total
 
-    def live_workers(self, now: float, window: float) -> int:
-        """Workers heard from within *window* seconds of *now*."""
-        return sum(1 for seen in self.workers.values() if now - seen <= window)
-
     def to_dict(self) -> dict[str, object]:
         return {
             "sweep": self.sweep,

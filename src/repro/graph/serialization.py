@@ -91,7 +91,12 @@ def graph_digest(graph: TaskGraph) -> str:
 
 
 def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
-    """Reconstruct a :class:`TaskGraph` from :func:`graph_to_dict` output."""
+    """Reconstruct a :class:`TaskGraph` from :func:`graph_to_dict` output.
+
+    Raises :class:`SerializationError` for a malformed document,
+    including a task id that is not a string, a ``wcet`` that is not an
+    object, and ``resources`` that are not a list of strings.
+    """
     if not isinstance(data, dict):
         raise SerializationError("task graph document must be a dict")
     fmt = data.get("format")
@@ -102,23 +107,7 @@ def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
     graph = TaskGraph()
     try:
         for entry in data["tasks"]:
-            graph.add_task(
-                Task(
-                    id=entry["id"],
-                    wcet={k: float(v) for k, v in entry["wcet"].items()},
-                    phasing=float(entry.get("phasing", 0.0)),
-                    relative_deadline=(
-                        float(entry["relative_deadline"])
-                        if "relative_deadline" in entry
-                        else None
-                    ),
-                    period=(
-                        float(entry["period"]) if "period" in entry else None
-                    ),
-                    label=entry.get("label", ""),
-                    resources=frozenset(entry.get("resources", ())),
-                )
-            )
+            graph.add_task(_task_from_dict(entry))
         for edge in data.get("edges", ()):
             graph.add_edge(
                 edge["src"], edge["dst"], float(edge.get("message_size", 0.0))
@@ -130,6 +119,38 @@ def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed task graph document: {exc}") from exc
     return graph
+
+
+def _task_from_dict(entry: dict[str, Any]) -> Task:
+    tid = entry["id"]
+    if not isinstance(tid, str):
+        raise SerializationError(f"task id must be a string, got {tid!r}")
+    wcet = entry["wcet"]
+    if not isinstance(wcet, dict):
+        raise SerializationError(
+            f"task {tid!r}: 'wcet' must be an object, got {wcet!r}"
+        )
+    resources = entry.get("resources", ())
+    if resources != () and not (
+        isinstance(resources, list) and all(isinstance(r, str) for r in resources)
+    ):
+        raise SerializationError(
+            f"task {tid!r}: 'resources' must be a list of strings, "
+            f"got {resources!r}"
+        )
+    return Task(
+        id=tid,
+        wcet={k: float(v) for k, v in wcet.items()},
+        phasing=float(entry.get("phasing", 0.0)),
+        relative_deadline=(
+            float(entry["relative_deadline"])
+            if "relative_deadline" in entry
+            else None
+        ),
+        period=float(entry["period"]) if "period" in entry else None,
+        label=entry.get("label", ""),
+        resources=frozenset(resources),
+    )
 
 
 def save_graph(graph: TaskGraph, path: str | Path) -> None:

@@ -36,39 +36,26 @@ class ValidationReport:
 def validate_graph(graph: TaskGraph, *, require_e2e: bool = False) -> ValidationReport:
     """Validate *graph* and return a :class:`ValidationReport`.
 
-    Checks: acyclicity, E-T-E pairs anchored at true input/output tasks
-    with reachability between endpoints, and (optionally) that every
-    output task is covered by at least one E-T-E deadline.
+    Errors are exactly those :func:`check_graph` raises.  Warnings flag
+    E-T-E pairs no path connects or whose deadline is below the
+    minimum possible path work, and (with *require_e2e*) output tasks
+    no E-T-E deadline covers.  This is the one function that computes
+    warnings.
 
-    Cost: one topological order (which doubles as the acyclicity check)
-    and one min-work DP per distinct input endpoint ``a1``, which answers
-    both per-pair warnings for every pair starting at ``a1``.
+    Cost: the error pass (one topological order, which doubles as the
+    acyclicity check) plus one min-work DP per distinct input endpoint
+    ``a1``, which answers both per-pair warnings for every pair starting
+    at ``a1``.
     """
-    report = ValidationReport()
-    if graph.n_tasks == 0:
-        report.errors.append("task graph is empty")
-        return report
-    try:
-        order = graph.topological_order()
-    except CycleError:
-        report.errors.append("task graph contains a precedence cycle")
+    errors, order = _errors(graph)
+    report = ValidationReport(errors=errors)
+    if order is None:
         return report
 
-    inputs = set(graph.input_tasks())
-    outputs = set(graph.output_tasks())
     successors = {tid: graph.successors(tid) for tid in order}
     min_wcet = {task.id: task.min_wcet() for task in graph.tasks()}
     works: dict[str, dict[str, float]] = {}
-
     for (a1, a2), d in graph.e2e_deadlines().items():
-        if a1 not in inputs:
-            report.errors.append(
-                f"E-T-E pair ({a1!r}, {a2!r}): {a1!r} is not an input task"
-            )
-        if a2 not in outputs:
-            report.errors.append(
-                f"E-T-E pair ({a1!r}, {a2!r}): {a2!r} is not an output task"
-            )
         work = works.get(a1)
         if work is None:
             work = works[a1] = _min_path_work(order, successors, min_wcet, a1)
@@ -88,7 +75,7 @@ def validate_graph(graph: TaskGraph, *, require_e2e: bool = False) -> Validation
 
     if require_e2e:
         covered = {a2 for (a1, a2) in graph.e2e_deadlines()}
-        for out in sorted(outputs - covered):
+        for out in sorted(set(graph.output_tasks()) - covered):
             report.warnings.append(
                 f"output task {out!r} is not covered by any E-T-E deadline"
             )
@@ -96,8 +83,40 @@ def validate_graph(graph: TaskGraph, *, require_e2e: bool = False) -> Validation
 
 
 def check_graph(graph: TaskGraph) -> None:
-    """Validate *graph*, raising :class:`ValidationError` on hard errors."""
-    validate_graph(graph).raise_if_invalid()
+    """Raise :class:`ValidationError` if *graph* breaks a hard invariant.
+
+    Checks errors only — the warnings of :func:`validate_graph` are not
+    computed — at the cost of one topological order.
+    """
+    ValidationReport(errors=_errors(graph)[0]).raise_if_invalid()
+
+
+def _errors(graph: TaskGraph) -> tuple[list[str], list[str] | None]:
+    """The hard errors of *graph*, and its topological order if acyclic.
+
+    An empty or cyclic graph stops at that one error (order ``None``);
+    otherwise every E-T-E pair whose source is not an input task or
+    whose sink is not an output task adds an error, in pair order.
+    """
+    if graph.n_tasks == 0:
+        return ["task graph is empty"], None
+    try:
+        order = graph.topological_order()
+    except CycleError:
+        return ["task graph contains a precedence cycle"], None
+    inputs = set(graph.input_tasks())
+    outputs = set(graph.output_tasks())
+    errors: list[str] = []
+    for a1, a2 in graph.e2e_deadlines():
+        if a1 not in inputs:
+            errors.append(
+                f"E-T-E pair ({a1!r}, {a2!r}): {a1!r} is not an input task"
+            )
+        if a2 not in outputs:
+            errors.append(
+                f"E-T-E pair ({a1!r}, {a2!r}): {a2!r} is not an output task"
+            )
+    return errors, order
 
 
 def _min_path_work(

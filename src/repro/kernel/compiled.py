@@ -15,15 +15,22 @@ dict lookup:
 * successor and predecessor adjacency as one tuple row per task
   (successor indices; ``(predecessor, message size)`` pairs), in the
   graph's edge-insertion order;
-* a dense WCET matrix ``[task × processor]`` (row-major, ``-1.0``
-  marking an ineligible processor) and the matching per-task
-  eligibility bitmask over processors;
-* per-task arrival phasings, output-deadline bounds, and resource sets;
-* string-rank permutations for tasks and processors: ``rank[i]`` is the
-  position of ``ids[i]`` in ``sorted(ids)``.  Every tie-break in the
-  reference implementation compares id *strings*; comparing ranks is
+* per task, its platform-valid WCET values (the estimators' input);
+* per-task arrival phasings and output-deadline bounds;
+* a string-rank permutation for tasks: ``rank[i]`` is the position of
+  ``ids[i]`` in ``sorted(ids)``.  Every tie-break in the reference
+  implementation compares id *strings*; comparing ranks is
   order-isomorphic, so integer comparisons reproduce the exact same
   winners.
+
+That is everything estimation, the metric weights and slicing read.
+The EDF placement arrays — a dense WCET matrix ``[task × processor]``
+(row-major, ``-1.0`` marking an ineligible processor), the per-task
+eligible ``(processor, wcet)`` rows and bitmask, processor ids and
+their string ranks, and resource sets — are a :class:`Placement`,
+built once on the first :meth:`CompiledWorkload.placement` call, so a
+workload that is only sliced (a ``POST /assign`` cache miss) never
+builds them.
 
 The compilation is pure — everything derives from the workload alone —
 so one compiled workload is shared by every series of a trial (it hangs
@@ -35,8 +42,9 @@ metrics produce.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
+from ..core.estimation import WCET_AVG, WCET_MAX, WCET_MIN, WcetEstimator
 from ..errors import EligibilityError
 from ..types import Time
 
@@ -44,7 +52,60 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from ..graph.taskgraph import TaskGraph
     from ..system.platform import Platform
 
-__all__ = ["CompiledWorkload", "compile_workload"]
+__all__ = ["CompiledWorkload", "Placement", "compile_workload"]
+
+
+class Placement:
+    """The EDF placement arrays of one compiled workload.
+
+    Built by :meth:`CompiledWorkload.placement`; immutable by
+    convention, like the workload's own arrays.
+    """
+
+    __slots__ = (
+        "wcet_pp",
+        "elig_rows",
+        "elig_mask",
+        "proc_ids",
+        "proc_rank",
+        "resources",
+        "has_resources",
+    )
+
+    def __init__(self, cw: "CompiledWorkload") -> None:
+        procs = list(cw.platform.processors())
+        n, m = cw.n, cw.m
+        self.proc_ids = [p.id for p in procs]
+        proc_index = {pid: q for q, pid in enumerate(self.proc_ids)}
+        proc_rank = [0] * m
+        for r, pid in enumerate(sorted(self.proc_ids)):
+            proc_rank[proc_index[pid]] = r
+        self.proc_rank = proc_rank
+        proc_cls = [(q, proc.cls) for q, proc in enumerate(procs)]
+        wcet_pp = array("d", [-1.0] * (n * m))
+        elig_mask = [0] * n
+        # (processor, wcet) pairs per task in processor order — the EDF
+        # probe loop walks these directly instead of scanning the dense
+        # row for ineligible -1.0 cells.
+        elig_rows: list[tuple[tuple[int, float], ...]] = []
+        resources: list[tuple[str, ...]] = []
+        for i, task in enumerate(cw.graph._tasks.values()):
+            wcet_get = task.wcet.get
+            base = i * m
+            row: list[tuple[int, float]] = []
+            for q, cls in proc_cls:
+                c = wcet_get(cls)
+                if c is not None:
+                    wcet_pp[base + q] = c
+                    elig_mask[i] |= 1 << q
+                    row.append((q, c))
+            elig_rows.append(tuple(row))
+            resources.append(tuple(task.resources))
+        self.wcet_pp = wcet_pp
+        self.elig_rows = elig_rows
+        self.elig_mask = elig_mask
+        self.resources = resources
+        self.has_resources = any(resources)
 
 
 class CompiledWorkload:
@@ -67,17 +128,11 @@ class CompiledWorkload:
         "pred_ps",
         "indeg",
         "wcet_vals",
-        "wcet_pp",
-        "elig_rows",
-        "elig_mask",
         "phasing",
-        "resources",
-        "has_resources",
         "input_idx",
         "output_idx",
         "out_deadline",
-        "proc_ids",
-        "proc_rank",
+        "_placement",
         "_anc",
         "_psets",
         "_est_lists",
@@ -148,57 +203,18 @@ class CompiledWorkload:
             graph.topological_order()
         self.topo = array("i", topo)
 
-        # Dense WCET matrix and eligibility masks over the platform.
-        procs = list(platform.processors())
-        m = len(procs)
-        self.m = m
-        self.proc_ids = [p.id for p in procs]
-        proc_index = {pid: q for q, pid in enumerate(self.proc_ids)}
-        proc_rank = [0] * m
-        for r, pid in enumerate(sorted(self.proc_ids)):
-            proc_rank[proc_index[pid]] = r
-        self.proc_rank = proc_rank
-        proc_cls = [(q, proc.cls) for q, proc in enumerate(procs)]
-        wcet_pp = array("d", [-1.0] * (n * m))
-        elig_mask = [0] * n
-        # (processor, wcet) pairs per task in processor order — the EDF
-        # probe loop walks these directly instead of scanning the dense
-        # row for ineligible -1.0 cells.
-        elig_rows: list[tuple[tuple[int, float], ...]] = []
-        phasing = array("d", [0.0]) * n
-        resources: list[tuple[str, ...]] = []
+        self.m = platform.m
         # Per-task platform-valid WCET values, exactly the list the
         # reference estimators filter per call (`task.wcet.items()`
         # restricted to the platform's used classes, insertion order) —
         # captured once so the kernel can combine estimates without
         # building the string-keyed estimate map.
         usable = set(platform.used_class_ids())
-        wcet_vals: list[tuple[float, ...]] = []
-        for i, task in enumerate(tasks_d.values()):
-            wcet_get = task.wcet.get
-            base = i * m
-            row: list[tuple[int, float]] = []
-            for q, cls in proc_cls:
-                c = wcet_get(cls)
-                if c is not None:
-                    wcet_pp[base + q] = c
-                    elig_mask[i] |= 1 << q
-                    row.append((q, c))
-            elig_rows.append(tuple(row))
-            wcet_vals.append(
-                tuple(
-                    [c for cls, c in task.wcet.items() if cls in usable]
-                )
-            )
-            phasing[i] = task.phasing
-            resources.append(tuple(task.resources))
-        self.wcet_vals = wcet_vals
-        self.wcet_pp = wcet_pp
-        self.elig_rows = elig_rows
-        self.elig_mask = elig_mask
-        self.phasing = phasing
-        self.resources = resources
-        self.has_resources = any(resources)
+        self.wcet_vals = [
+            tuple([c for cls, c in task.wcet.items() if cls in usable])
+            for task in tasks_d.values()
+        ]
+        self.phasing = array("d", [task.phasing for task in tasks_d.values()])
 
         self.input_idx = [index[t] for t in ids if not pred_d[t]]
         output_idx = [index[t] for t in ids if not succ_d[t]]
@@ -219,6 +235,7 @@ class CompiledWorkload:
                 out_deadline[j] = bound
         self.out_deadline = out_deadline
 
+        self._placement: Placement | None = None
         self._anc: list[int] | None = None
         self._psets: list[int] | None = None
         self._est_lists: dict[str, list[float]] = {}
@@ -230,6 +247,18 @@ class CompiledWorkload:
         self._vec = None
 
     # ------------------------------------------------------------------
+    def placement(self) -> Placement:
+        """The EDF placement arrays, built on the first call and kept.
+
+        Every EDF loop over this workload reads them (the scalar kernel
+        loop, :meth:`~repro.kernel.edf.KernelSchedule.to_schedule` and
+        the vec tier's batch engine); slicing and the weights never do.
+        """
+        placement = self._placement
+        if placement is None:
+            placement = self._placement = Placement(self)
+        return placement
+
     def ancestor_masks(self) -> list[int]:
         """Per task, the bitmask of its ancestors *including itself*.
 
@@ -306,6 +335,23 @@ class CompiledWorkload:
                 cached.append(combine(vals))
             self._est_lists[est_name] = cached
         return cached
+
+    def estimates(
+        self,
+        estimator: WcetEstimator,
+        est_map: Callable[[], Mapping[str, Time]],
+    ) -> list[float]:
+        """*estimator*'s ``c̄_i`` per task, memoized by its name.
+
+        The rule every kernel caller shares: the stateless per-task
+        estimators (WCET-AVG/-MAX/-MIN) combine the platform-valid WCET
+        rows directly (:meth:`estimates_from_vals`); graph-aware or
+        custom ones flatten the reference map that *est_map* returns
+        (:meth:`estimates_list`).  *est_map* is called only then.
+        """
+        if estimator is WCET_AVG or estimator is WCET_MAX or estimator is WCET_MIN:
+            return self.estimates_from_vals(estimator.name, estimator.combine)
+        return self.estimates_list(estimator.name, est_map())
 
     def weights_cache(self) -> dict[tuple, list[float]]:
         """Memo for metric weight arrays, keyed by the kernel metrics."""

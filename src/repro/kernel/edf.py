@@ -102,7 +102,7 @@ class KernelSchedule:
         including the entries' placement-order dict insertion)."""
         cw = self.cw
         ids = cw.ids
-        proc_ids = cw.proc_ids
+        proc_ids = cw.placement().proc_ids
         sched = Schedule(
             feasible=self.feasible,
             failed_task=self.failed_task,
@@ -141,10 +141,11 @@ def kernel_schedule_edf(
     *key*, when given, orders the ready queue in place of *win_d*
     (smaller first, ties by task id), as the reference's ``(key, id)``
     heap does; windows still decide arrivals and misses.  *fixed*, when
-    given, pins each task to one processor index (``cw.proc_ids``
-    order) instead of probing every eligible one; a task pinned to a
-    processor it is ineligible on raises the reference's
-    :class:`~repro.errors.SchedulingError` when it is dispatched.
+    given, pins each task to one processor index (in
+    ``cw.placement().proc_ids`` order) instead of probing every eligible
+    one; a task pinned to a processor it is ineligible on raises the
+    reference's :class:`~repro.errors.SchedulingError` when it is
+    dispatched.
     """
     comm_model = comm if comm is not None else cw.platform.comm
     comm_model.reset()
@@ -154,12 +155,13 @@ def kernel_schedule_edf(
     rank = cw.rank
     pred_ps = cw.pred_ps
     succ_lists = cw.succ_lists
-    wcet_pp = cw.wcet_pp
-    elig_rows = cw.elig_rows
-    proc_ids = cw.proc_ids
-    proc_rank = cw.proc_rank
-    resources = cw.resources
-    has_resources = cw.has_resources
+    placement = cw.placement()
+    wcet_pp = placement.wcet_pp
+    elig_rows = placement.elig_rows
+    proc_ids = placement.proc_ids
+    proc_rank = placement.proc_rank
+    resources = placement.resources
+    has_resources = placement.has_resources
 
     shared_bus = type(comm_model) is SharedBus
     per_item = comm_model.per_item_delay if shared_bus else 0.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..core.estimation import WCET_AVG, WCET_MAX, WCET_MIN, get_estimator
+from ..core.estimation import get_estimator
 from ..core.metrics import get_metric
 from .metrics import KERNEL_METRIC_TYPES, kernel_weights
 from .slicing import KernelAssignment, kernel_slice
@@ -76,14 +76,8 @@ def _estimates(
         exact = context.strict_assignment()[1]
         return [exact[tid] for tid in cw.ids], None
     est_obj = get_estimator(config.estimator)
-    est_key = est_obj.name
-    if est_obj is WCET_AVG or est_obj is WCET_MAX or est_obj is WCET_MIN:
-        # The stateless per-task estimators combine the platform-valid
-        # WCET rows directly — no string-keyed estimate map needed.
-        return cw.estimates_from_vals(est_key, est_obj.combine), est_key
-    # Graph-aware or custom strategies go through the reference map.
-    est_map = context.estimates_for(config.estimator)
-    return cw.estimates_list(est_key, est_map), est_key
+    est = cw.estimates(est_obj, lambda: context.estimates_for(est_obj))
+    return est, est_obj.name
 
 
 def kernel_assignment(

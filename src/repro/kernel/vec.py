@@ -208,9 +208,10 @@ class VecArrays:
         self.pred_sz = pred_sz
         self.pred_cnt = pred_cnt
         # Dense [n × m] execution times; -1.0 still marks ineligible.
-        self.wcet = np.asarray(cw.wcet_pp, dtype=np.float64).reshape(n, m)
+        placement = cw.placement()
+        self.wcet = np.asarray(placement.wcet_pp, dtype=np.float64).reshape(n, m)
         self.rank = np.asarray(cw.rank, dtype=np.int64)
-        self.proc_rank = np.asarray(cw.proc_rank, dtype=np.int64)
+        self.proc_rank = np.asarray(placement.proc_rank, dtype=np.int64)
         self.win_pad = None  # scratch slot, unused for now
 
 
@@ -826,7 +827,7 @@ def vec_schedule_edf_batch(
     for li, (cw, win_a, win_d) in enumerate(lanes):
         comm = comms[li] if comms is not None else None
         comm_model = comm if comm is not None else cw.platform.comm
-        if cw.has_resources or type(comm_model) is not SharedBus:
+        if cw.placement().has_resources or type(comm_model) is not SharedBus:
             results[li] = _lane_from_kernel(
                 kernel_schedule_edf(
                     cw, win_a, win_d, comm=comm,

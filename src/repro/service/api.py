@@ -260,7 +260,10 @@ def request_digest(request: AssignRequest) -> str:
             "c_thres_factor": params.c_thres_factor,
         },
     }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # *doc* is built fresh here, so it cannot be cyclic.
+    text = json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), check_circular=False
+    )
     return hashlib.sha256(text.encode()).hexdigest()
 
 

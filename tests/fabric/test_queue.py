@@ -233,6 +233,5 @@ class TestSnapshot:
         snap = q.snapshot()
         assert isinstance(snap, QueueSnapshot)
         assert set(snap.workers) == {"w1", "w2"}
-        assert snap.live_workers(clock.now, window=5.0) == 1
         doc = snap.to_dict()
         assert doc["total"] == 3 and doc["finished"] is False

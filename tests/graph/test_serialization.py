@@ -131,3 +131,42 @@ class TestMalformed:
         path.write_text("{not json")
         with pytest.raises(SerializationError):
             load_graph(path)
+
+
+class TestMalformedTaskFields:
+    """Fields of a task entry whose type is wrong are refused, not coerced
+    into a graph the rest of the pipeline cannot handle."""
+
+    @staticmethod
+    def doc():
+        return graph_to_dict(rich_graph())
+
+    def test_wcet_list_is_refused(self):
+        doc = self.doc()
+        doc["tasks"][0]["wcet"] = [1, 2]
+        with pytest.raises(SerializationError, match="'wcet' must be an object"):
+            graph_from_dict(doc)
+
+    def test_integer_task_id_is_refused(self):
+        doc = self.doc()
+        old = doc["tasks"][0]["id"]
+        doc["tasks"][0]["id"] = 7
+        for ref in doc["edges"] + doc["e2e_deadlines"]:
+            for end in ("src", "dst"):
+                if ref[end] == old:
+                    ref[end] = 7
+        with pytest.raises(SerializationError, match="task id must be a string"):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("resources", ["abc", [1, 2], {"bus": 1}])
+    def test_resources_must_be_a_list_of_strings(self, resources):
+        doc = self.doc()
+        doc["tasks"][0]["resources"] = resources
+        with pytest.raises(SerializationError, match="list of strings"):
+            graph_from_dict(doc)
+
+    def test_list_of_strings_still_loads(self):
+        doc = self.doc()
+        doc["tasks"][0]["resources"] = ["bus", "dma"]
+        graph = graph_from_dict(doc)
+        assert graph.task(doc["tasks"][0]["id"]).resources == {"bus", "dma"}

@@ -208,3 +208,78 @@ def test_one_topological_order_and_no_closure(monkeypatch):
     report = validate_graph(graph, require_e2e=True)
     assert report.ok
     assert calls == {"topological_order": 1, "closure": 0}
+
+
+def _seeded_graph(seed):
+    return generate_task_graph(
+        WorkloadParams(n_tasks_range=(20, 30)),
+        np.random.default_rng(seed),
+        ["c1", "c2"],
+    )
+
+
+def _inject(graph, fault):
+    """*graph* with one kind of structural fault added."""
+    inputs, outputs = graph.input_tasks(), graph.output_tasks()
+    inner = [t for t in graph.task_ids() if t not in inputs and t not in outputs]
+    if fault == "empty":
+        return TaskGraph()
+    if fault == "cycle":
+        graph.add_edge(outputs[0], inputs[0])
+    elif fault == "non-input source":
+        graph.set_e2e_deadline(inner[0], outputs[0], 50.0)
+    elif fault == "non-output sink":
+        graph.set_e2e_deadline(inputs[0], inner[-1], 50.0)
+    elif fault == "several bad pairs":
+        graph.set_e2e_deadline(inner[0], outputs[-1], 50.0)
+        graph.set_e2e_deadline(inputs[-1], inner[0], 50.0)
+        graph.set_e2e_deadline(inner[-1], inner[0], 50.0)
+    return graph
+
+
+def _raised(call):
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckGraph:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            None,
+            "empty",
+            "cycle",
+            "non-input source",
+            "non-output sink",
+            "several bad pairs",
+        ],
+    )
+    def test_raises_exactly_what_the_report_raises(self, seed, fault):
+        graph = _inject(_seeded_graph(seed), fault)
+        expected = _raised(lambda: validate_graph(graph).raise_if_invalid())
+        assert (expected is None) == (fault is None)
+        assert _raised(lambda: check_graph(graph)) == expected
+
+    def test_several_bad_pairs_join_in_pair_order(self):
+        graph = _inject(_seeded_graph(3), "several bad pairs")
+        message = _raised(lambda: check_graph(graph))
+        assert message.count("; ") == 3
+        assert message == "; ".join(validate_graph(graph).errors)
+
+    def test_computes_no_warnings(self, monkeypatch):
+        import repro.graph.validation as validation
+
+        def no_dp(*args):
+            raise AssertionError("check_graph ran a min-work DP")
+
+        monkeypatch.setattr(validation, "_min_path_work", no_dp)
+        graph = _seeded_graph(11)
+        a1, a2 = graph.input_tasks()[0], graph.output_tasks()[0]
+        graph.set_e2e_deadline(a1, a2, 1e-6)  # below any path's work
+        check_graph(graph)
+        with pytest.raises(AssertionError, match="min-work DP"):
+            validate_graph(graph)

@@ -67,21 +67,22 @@ class TestAdjacency:
 class TestPlatformArrays:
     def test_wcet_matrix_and_eligibility(self, compiled_pair):
         graph, platform, cw = compiled_pair
+        pl = cw.placement()
         procs = list(platform.processors())
-        assert cw.proc_ids == [p.id for p in procs]
+        assert pl.proc_ids == [p.id for p in procs]
         for i, tid in enumerate(cw.ids):
             task = graph.task(tid)
             for q, proc in enumerate(procs):
                 c = task.wcet.get(proc.cls)
-                cell = cw.wcet_pp[i * cw.m + q]
+                cell = pl.wcet_pp[i * cw.m + q]
                 if c is None:
                     assert cell == -1.0
-                    assert not (cw.elig_mask[i] >> q) & 1
+                    assert not (pl.elig_mask[i] >> q) & 1
                 else:
                     assert cell == c
-                    assert (cw.elig_mask[i] >> q) & 1
+                    assert (pl.elig_mask[i] >> q) & 1
             assert [
-                (cw.proc_ids[q], c) for q, c in cw.elig_rows[i]
+                (pl.proc_ids[q], c) for q, c in pl.elig_rows[i]
             ] == [
                 (p.id, task.wcet[p.cls])
                 for p in procs
